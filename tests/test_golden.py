@@ -36,6 +36,9 @@ ECON = ("--gamma", "0.422", "--beta", "0.44", "--value", "20")
 FORMATS = ("text", "csv", "json")
 # the earliest achieving state cannot arrive before this cut: p_as is 0
 NEVER = ("--pa", "0.35", "--nbc", "5", "--cut-time", "1e-30")
+# points where the series certifies p_as at an earlier state than E_TAS
+LATE_TIME = (("--pa", "0.45", "--nbc", "4", "--cut-mult", "4"),
+             ("--pa", "0.35", "--nbc", "7", "--cut-mult", "8"))
 
 
 def _cases() -> list[tuple[str, ...]]:
@@ -65,6 +68,9 @@ def _cases() -> list[tuple[str, ...]]:
             ("market-gamma", "--config", "bch.conf", *out),
             ("profit", *NEVER, *ECON, *out),
         ]
+        for point in LATE_TIME:
+            cases.append(("expect-time", *point, "--lambda-h", "1", *out))
+            cases.append(("table", *point, *out))
     cases += [
         ("expect-time", "--pa", "0.5", "--nbc", "3", "--cut-mult", "inf"),
         ("profit", "--pa", "0.5", "--nbc", "3", "--cut-mult", "inf", *ECON),
