@@ -18,11 +18,11 @@ from typing import IO, Sequence
 
 from .economics import EconomicModel, expected_profit, required_value
 from .errors import ConvergenceError, DoubleSpendError
-from .reporting import build_resource_table, case_study, gamma_from_market, \
-    load_network_config, premine_comparison, render_record, render_rows, \
-    render_table
+from .reporting import _requirement_assessment, build_resource_table, case_study, \
+    gamma_from_market, load_network_config, premine_comparison, render_record, \
+    render_rows, render_table
 from .simulate import estimate, estimate_profit
-from .timing import attack_success_prob, expected_success_time, sampling_grid
+from .timing import _conditional_moments, attack_success_prob, sampling_grid
 from .walk import INFINITE, AttackSpec
 
 _DEFAULT_BLOCK_TIME = 600.0
@@ -31,31 +31,26 @@ _DEFAULT_TRIALS = 100_000
 _DEFAULT_SEED = 0
 
 
-def _cut_value(text: str) -> object:
-    """Parse --cut-time: positive seconds, or 'inf' for an unbounded cut."""
-    if text.strip().lower() in ("inf", "infinite", "infinity"):
-        return INFINITE
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number of seconds or 'inf', got {text!r}"
-        ) from None
-    if math.isinf(value):
-        return INFINITE
-    return value
-
-
-def _mult_value(text: str) -> float:
-    """Parse --cut-mult: positive multiplier, or 'inf' for an unbounded cut."""
+def _float_or_inf(text: str, what: str) -> float:
     if text.strip().lower() in ("inf", "infinite", "infinity"):
         return math.inf
     try:
         return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected a multiplier or 'inf', got {text!r}"
+            f"expected {what} or 'inf', got {text!r}"
         ) from None
+
+
+def _cut_value(text: str) -> object:
+    """Parse --cut-time: positive seconds, or 'inf' for an unbounded cut."""
+    value = _float_or_inf(text, "a number of seconds")
+    return INFINITE if math.isinf(value) else value
+
+
+def _mult_value(text: str) -> float:
+    """Parse --cut-mult: positive multiplier, or 'inf' for an unbounded cut."""
+    return _float_or_inf(text, "a multiplier")
 
 
 def _int_list(text: str) -> list[int]:
@@ -170,14 +165,6 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text, encoding="utf-8")
 
 
-def _requirement_assessment(c_req: float) -> str:
-    if c_req == math.inf:
-        return "never profitable"
-    if c_req < 0:
-        return "always profitable"
-    return "profitable above required value"
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -216,10 +203,8 @@ def _cmd_pdf(args: argparse.Namespace) -> int:
 
 def _cmd_expect_time(args: argparse.Namespace) -> int:
     spec = _resolve_spec(args)
-    result = {
-        "e_tas_seconds": expected_success_time(spec, args.tol),
-        "p_as": attack_success_prob(spec, args.tol),
-    }
+    p_as, e_tas = _conditional_moments(spec, args.tol)
+    result = {"e_tas_seconds": e_tas, "p_as": p_as}
     _emit(render_record(_spec_params(spec, args.tol), result, args.format),
           args.out)
     return 0

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, UnsupportedAnalyticError
-from .timing import attack_success_prob, expected_success_time, expected_success_time_inf
+from .timing import _success_moments
 from .walk import AttackSpec
 
 GrowthPairs = tuple[tuple[float, float], tuple[float, float]]
@@ -116,6 +116,56 @@ def _require_linear(model: EconomicModel, need_reward: bool) -> None:
         )
 
 
+def _fails_forever(spec: AttackSpec) -> bool:
+    """No deadline and p_a < 1/2: an attempt may fail and then mine forever,
+    at unbounded cost. Decided on the spec: p_dsa's 1 - sum cancels at depth."""
+    return spec.infinite_cut and spec.p_a < 0.5
+
+
+def _moments(spec: AttackSpec, tol: float) -> tuple[float, float]:
+    # an attack that fails forever costs inf whatever its e_tas
+    return _success_moments(spec, tol, want_time=not _fails_forever(spec))
+
+
+def _give_up_time(spec: AttackSpec) -> float:
+    """t_cut in the give-up terms (1 - p_as) * ... * t_cut. With no deadline
+    (and p_a >= 1/2) p_as is exactly 1, and -0.0, the identity of float
+    addition, makes each term vanish rather than read 0 * inf = nan."""
+    return -0.0 if spec.infinite_cut else spec.t_cut
+
+
+def _runtime(spec: AttackSpec, p_as: float, e_tas: float) -> float:
+    if _fails_forever(spec):
+        return math.inf
+    return p_as * e_tas + (1.0 - p_as) * _give_up_time(spec)
+
+
+def _opex(model: EconomicModel, spec: AttackSpec, p_as: float, e_tas: float) -> float:
+    if _fails_forever(spec):
+        return math.inf
+    rate_cost = model.gamma * spec.lambda_a
+    return p_as * rate_cost * e_tas \
+        + (1.0 - p_as) * rate_cost * _give_up_time(spec)
+
+
+def _give_up_per_success(spec: AttackSpec, p_as: float, rate_cost: float) -> float:
+    """The give-up term of c_req: failed attempts' cost per success."""
+    return (1.0 - p_as) / p_as * rate_cost * _give_up_time(spec)
+
+
+def _required(model: EconomicModel, spec: AttackSpec, p_as: float, e_tas: float) -> float:
+    if _fails_forever(spec):
+        return INFINITE_REQUIREMENT
+    if p_as <= 0.0:
+        raise DomainError(
+            "success probability is zero at this cut-time; "
+            "no finite value makes the attack profitable"
+        )
+    rate_cost = model.gamma * spec.lambda_a
+    return _give_up_per_success(spec, p_as, rate_cost) \
+        - (model.mu - 1.0) * rate_cost * e_tas
+
+
 def expected_opex(model: EconomicModel, spec: AttackSpec, tol: float = 1e-12) -> float:
     """Expected OPEX of one attempt: pay until success or until giving up.
 
@@ -125,16 +175,7 @@ def expected_opex(model: EconomicModel, spec: AttackSpec, tol: float = 1e-12) ->
     the expectation is returned as inf.
     """
     _require_linear(model, need_reward=False)
-    rate_cost = model.gamma * spec.lambda_a
-    if spec.infinite_cut:
-        if spec.p_a >= 0.5:
-            return rate_cost * expected_success_time_inf(spec)
-        return math.inf
-    p_as = attack_success_prob(spec, tol)
-    give_up = (1.0 - p_as) * rate_cost * spec.t_cut
-    if p_as <= 0.0:
-        return give_up
-    return p_as * rate_cost * expected_success_time(spec, tol) + give_up
+    return _opex(model, spec, *_moments(spec, tol))
 
 
 def expected_profit(model: EconomicModel, spec: AttackSpec, tol: float = 1e-12) -> float:
@@ -145,17 +186,9 @@ def expected_profit(model: EconomicModel, spec: AttackSpec, tol: float = 1e-12) 
     at required_value.
     """
     _require_linear(model, need_reward=True)
-    e_x = expected_opex(model, spec, tol)
-    if spec.infinite_cut:
-        if spec.p_a >= 0.5:
-            gain = model.value + model.beta * spec.lambda_a * expected_success_time_inf(spec)
-            return gain - e_x
-        return -math.inf
-    p_as = attack_success_prob(spec, tol)
-    if p_as <= 0.0:
-        return -e_x
-    gain = model.value + model.beta * spec.lambda_a * expected_success_time(spec, tol)
-    return p_as * gain - e_x
+    p_as, e_tas = _moments(spec, tol)
+    gain = model.value + model.beta * spec.lambda_a * e_tas
+    return p_as * gain - _opex(model, spec, p_as, e_tas)
 
 
 def required_value(model: EconomicModel, spec: AttackSpec, tol: float = 1e-12) -> float:
@@ -172,21 +205,7 @@ def required_value(model: EconomicModel, spec: AttackSpec, tol: float = 1e-12) -
     returns INFINITE_REQUIREMENT.
     """
     _require_linear(model, need_reward=True)
-    rate_cost = model.gamma * spec.lambda_a
-    if spec.infinite_cut:
-        if spec.p_a >= 0.5:
-            # p_a = 1/2 raises the singularity from the mean success time
-            return -(model.mu - 1.0) * rate_cost * expected_success_time_inf(spec)
-        return INFINITE_REQUIREMENT
-    p_as = attack_success_prob(spec, tol)
-    if p_as <= 0.0:
-        raise DomainError(
-            "success probability is zero at this cut-time; "
-            "no finite value makes the attack profitable"
-        )
-    e_tas = expected_success_time(spec, tol)
-    return (1.0 - p_as) / p_as * rate_cost * spec.t_cut \
-        - (model.mu - 1.0) * rate_cost * e_tas
+    return _required(model, spec, *_moments(spec, tol))
 
 
 def repeated_attack_projection(model: EconomicModel, spec: AttackSpec, n: int,
@@ -199,25 +218,12 @@ def repeated_attack_projection(model: EconomicModel, spec: AttackSpec, n: int,
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError(f"attack count must be a nonnegative integer, got {n!r}")
     _require_linear(model, need_reward=True)
-    if spec.infinite_cut:
-        if spec.p_a >= 0.5:
-            runtime = expected_success_time_inf(spec)
-        else:
-            runtime = math.inf
-    else:
-        p_as = attack_success_prob(spec, tol)
-        if p_as <= 0.0:
-            runtime = spec.t_cut
-        else:
-            runtime = p_as * expected_success_time(spec, tol) \
-                + (1.0 - p_as) * spec.t_cut
+    p_as, e_tas = _moments(spec, tol)
     if n == 0:
         net = 0.0
     else:
-        c_req = required_value(model, spec, tol)
-        p_as_n = attack_success_prob(spec, tol)
-        net = n * p_as_n * (model.value - c_req)
+        net = n * p_as * (model.value - _required(model, spec, p_as, e_tas))
     return {
-        "expected_runtime_per_attempt": runtime,
+        "expected_runtime_per_attempt": _runtime(spec, p_as, e_tas),
         "expected_net_profit": net,
     }

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .economics import EconomicModel, expected_opex, required_value, \
-    repeated_attack_projection
+from .economics import EconomicModel, _give_up_per_success, _opex, _required, \
+    _runtime
 from .errors import ConfigError, DomainError
-from .timing import attack_success_prob, expected_success_time
+from .timing import _conditional_moments
 from .walk import INFINITE, AttackSpec, p_dsa, premine_success_prob
 
 _CONFIG_KEYS = {
@@ -221,12 +221,11 @@ def build_resource_table(n_bc_list: Sequence[int], p_a_list: Sequence[float],
         for p_a in p_a_list:
             spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=float(c * n_bc),
                               lambda_h=1.0)
-            p_as = attack_success_prob(spec, tol)
-            e_tas = expected_success_time(spec, tol)
+            p_as, e_tas = _conditional_moments(spec, tol)
             ratio = spec.lambda_a  # p_a / p_h at lambda_h = 1
-            e_x = ratio * (p_as * e_tas + (1.0 - p_as) * spec.t_cut)
+            e_x = ratio * _runtime(spec, p_as, e_tas)
             coeff = ratio * e_tas
-            const = (1.0 - p_as) / p_as * ratio * spec.t_cut
+            const = _give_up_per_success(spec, p_as, ratio)
             cells.append(TableCell(
                 n_bc=n_bc, p_a=p_a, p_as=p_as, e_tas_scaled=e_tas,
                 e_x_scaled=e_x, c_req_mu_coeff=coeff, c_req_const=const,
@@ -255,18 +254,8 @@ def case_study(cfg: NetworkConfig, p_a: float, n_bc: int, c: float,
         t_cut = float(c) * n_bc * cfg.block_time_seconds
     spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=t_cut, lambda_h=cfg.lambda_h)
     model = EconomicModel(gamma=gamma, beta=beta)
-    p_as = attack_success_prob(spec, tol)
-    e_tas = expected_success_time(spec, tol)
-    e_x = expected_opex(model, spec, tol)
-    c_req = required_value(model, spec, tol)
-    runtime = repeated_attack_projection(model, spec, 0, tol)[
-        "expected_runtime_per_attempt"]
-    if c_req == math.inf:
-        assessment = "never profitable"
-    elif c_req < 0:
-        assessment = "always profitable"
-    else:
-        assessment = "profitable above required value"
+    p_as, e_tas = _conditional_moments(spec, tol)
+    c_req = _required(model, spec, p_as, e_tas)
     return {
         "network": cfg.name,
         "p_a": p_a,
@@ -279,11 +268,21 @@ def case_study(cfg: NetworkConfig, p_a: float, n_bc: int, c: float,
         "mu": model.mu,
         "p_as": p_as,
         "e_tas_seconds": e_tas,
-        "e_x": e_x,
+        "e_x": _opex(model, spec, p_as, e_tas),
         "c_req": c_req,
-        "runtime_per_attempt": runtime,
-        "assessment": assessment,
+        "runtime_per_attempt": _runtime(spec, p_as, e_tas),
+        "assessment": _requirement_assessment(c_req),
     }
+
+
+def _requirement_assessment(c_req: float) -> str:
+    """Classify a required value: negative means the attack pays for itself
+    at any transaction value, infinite means no value suffices."""
+    if c_req == math.inf:
+        return "never profitable"
+    if c_req < 0:
+        return "always profitable"
+    return "profitable above required value"
 
 
 def premine_comparison(p_a: float, n_bc: int) -> dict[str, float]:
@@ -302,17 +301,17 @@ def premine_comparison(p_a: float, n_bc: int) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # rendering
 
+def _nonfinite_word(x: float) -> str:
+    return "nan" if math.isnan(x) else "infinite" if x > 0 else "-infinite"
+
+
 def format_sig(x: object, digits: int = 4) -> str:
     """Human-facing number: 4 significant digits, words for non-finite."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         return str(x)
     if isinstance(x, int):
         return str(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "infinite" if x > 0 else "-infinite"
-    return f"{x:.{digits}g}"
+    return f"{x:.{digits}g}" if math.isfinite(x) else _nonfinite_word(x)
 
 
 def format_full(x: object) -> str:
@@ -320,11 +319,7 @@ def format_full(x: object) -> str:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         return str(x)
     if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "infinite" if x > 0 else "-infinite"
-        return repr(x)
+        return repr(x) if math.isfinite(x) else _nonfinite_word(x)
     return str(x)
 
 
@@ -337,11 +332,7 @@ def to_jsonable(obj: object) -> object:
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, float):
-        if math.isnan(obj):
-            return "nan"
-        if math.isinf(obj):
-            return "infinite" if obj > 0 else "-infinite"
-        return obj
+        return obj if math.isfinite(obj) else _nonfinite_word(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return to_jsonable(dataclasses.asdict(obj))
     if isinstance(obj, Mapping):
@@ -366,10 +357,7 @@ def render_record(params: Mapping[str, object], result: Mapping[str, object],
     if fmt == "json":
         return render_json(params, result)
     if fmt == "csv":
-        lines = _params_text(params)
-        lines.append(",".join(result.keys()))
-        lines.append(",".join(format_full(v) for v in result.values()))
-        return "\n".join(lines) + "\n"
+        return render_rows(params, [result], list(result), fmt)
     if fmt == "text":
         lines = _params_text(params)
         width = max(len(k) for k in result)
@@ -420,34 +408,15 @@ def render_table(table: ResourceTable, fmt: str = "text",
     params.setdefault("c", table.c)
     if fmt == "json":
         return render_json(params, table)
-    if fmt == "csv":
-        fields = ("n_bc", "p_a", "p_as", "e_tas_scaled", "e_x_scaled",
-                  "c_req_mu_coeff", "c_req_const")
-        lines = _params_text(params)
-        lines.append(",".join(fields))
-        lines.extend(
-            ",".join(format_full(getattr(cell, f)) for f in fields)
-            for cell in table.cells
-        )
-        return "\n".join(lines) + "\n"
     if fmt == "text":
         header = ("n_bc", "p_a", "p_as", "e_tas/blk", "e_x/gamma", "c_req/gamma")
-        body = [
-            (str(cell.n_bc), format_sig(cell.p_a), format_sig(cell.p_as),
-             format_sig(cell.e_tas_scaled), format_sig(cell.e_x_scaled),
-             f"{format_sig(cell.c_req_mu_coeff)}*(1-mu)+"
-             f"{format_sig(cell.c_req_const)}")
+        rows = [
+            dict(zip(header, (cell.n_bc, cell.p_a, cell.p_as, cell.e_tas_scaled,
+                              cell.e_x_scaled,
+                              f"{format_sig(cell.c_req_mu_coeff)}*(1-mu)+"
+                              f"{format_sig(cell.c_req_const)}")))
             for cell in table.cells
         ]
-        widths = [
-            max(len(h), *(len(row[i]) for row in body)) if body else len(h)
-            for i, h in enumerate(header)
-        ]
-        lines = _params_text(params)
-        lines.append("  ".join(h.rjust(w) for h, w in zip(header, widths)))
-        lines.extend(
-            "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
-            for row in body
-        )
-        return "\n".join(lines) + "\n"
-    raise DomainError(f"unknown format {fmt!r}")
+        return render_rows(params, rows, header, fmt)
+    fields = [f.name for f in dataclasses.fields(TableCell)]
+    return render_rows(params, map(dataclasses.asdict, table.cells), fields, fmt)

@@ -30,6 +30,8 @@ from .walk import AttackSpec, p_dsa
 
 _MIXTURE_CAP = 2_000_000
 _TINY = 1e-300
+# largest n_bc whose binomial weights C(j-1, n_bc-1), j <= 2*n_bc, fit in a float
+_MAX_FLOAT_NBC = 515
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,16 @@ def dsa_time_density(spec: AttackSpec, t: float, tol: float = 1e-12) -> float:
     return term1 + term2
 
 
+def _float_depth(spec: AttackSpec) -> int:
+    """spec.n_bc, refused when the float recursions below would overflow."""
+    if spec.n_bc > _MAX_FLOAT_NBC:
+        raise DomainError(
+            f"n_bc = {spec.n_bc} exceeds {_MAX_FLOAT_NBC}, the largest "
+            f"confirmation count whose binomial weights fit in a float"
+        )
+    return spec.n_bc
+
+
 def _state_mass_iter(spec: AttackSpec):
     """Yield (i, p_i) for i = 2*n_bc + 1, 2*n_bc + 2, ... without big integers.
 
@@ -127,7 +139,7 @@ def _state_mass_iter(spec: AttackSpec):
     certified-series budget; only the series summation uses this, the public
     p_dsa_at_state keeps exact integer coefficients.
     """
-    n_bc = spec.n_bc
+    n_bc = _float_depth(spec)
     pa, ph = spec.p_a, spec.p_h
     paph = pa * ph
     binoms = [float(math.comb(j - 1, n_bc - 1)) for j in range(n_bc, 2 * n_bc + 1)]
@@ -156,12 +168,12 @@ def _state_mass_iter(spec: AttackSpec):
 
 def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float,
                      want_time: bool) -> tuple[float, float]:
-    """Shared Erlang-mixture series for P_AS and the E_TAS numerator.
+    """Shared Erlang-mixture series for P_AS and E_TAS.
 
-    Returns (p_as, time_numerator) where
+    Returns (p_as, e_tas) where
 
-      p_as           = sum_i p_i * ErlangCDF(i, lambda_t, t_cut)
-      time_numerator = sum_i p_i * (i / lambda_t) * ErlangCDF(i+1, lambda_t, t_cut)
+      p_as  = sum_i p_i * ErlangCDF(i, lambda_t, t_cut)
+      e_tas = sum_i p_i * (i / lambda_t) * ErlangCDF(i+1, lambda_t, t_cut) / p_as
 
     The Erlang CDFs advance by the recurrence P(i+1, x) = P(i, x) -
     e^-x x^i / i!, reset from the incomplete-gamma evaluator every 64 states
@@ -171,6 +183,11 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float,
     accumulated p-mass); for the numerator, integral(0..T) s *
     erlang_pdf(i, s) ds <= T * ErlangCDF(i, T) scales the same bound by
     t_cut.
+
+    p_as is the sum at the first checkpoint that certifies it, whether or
+    not the pass goes on to certify the numerator, so it does not depend on
+    want_time. e_tas divides by the sum where the pass stops; it is 0 when
+    that sum is 0 or want_time is false.
     """
     lam_t = spec.lambda_t
     x = lam_t * t_cut
@@ -183,6 +200,7 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float,
     u = math.exp(log_u) if log_u > -745.0 else 0.0
     acc_p = 0.0
     acc_t = 0.0
+    p_as = None
     mass_seen = 0.0
     steps = 0
     for i, p_i in _state_mass_iter(spec):
@@ -200,8 +218,12 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float,
             u = math.exp(log_u) if log_u > -745.0 else 0.0
             bound = cdf_next * max(total_mass - mass_seen, 0.0)
             if bound <= tol * max(acc_p, _TINY):
-                if not want_time or t_cut * bound <= tol * max(acc_t, _TINY):
-                    return acc_p, acc_t
+                if p_as is None:
+                    p_as = acc_p
+                if not want_time:
+                    return p_as, 0.0
+                if t_cut * bound <= tol * max(acc_t, _TINY):
+                    return p_as, acc_t / acc_p if acc_p > 0.0 else 0.0
             if steps >= _MIXTURE_CAP:
                 raise ConvergenceError(
                     f"Erlang-mixture series did not converge within "
@@ -215,6 +237,36 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float,
     raise ConvergenceError("Erlang-mixture series terminated unexpectedly", acc_p)
 
 
+def _success_moments(spec: AttackSpec, tol: float,
+                     want_time: bool = True) -> tuple[float, float]:
+    """(p_as, e_tas) of one spec from a single Erlang-mixture pass, bit for
+    bit the values of attack_success_prob and expected_success_time; every
+    derived quantity of the paper is arithmetic on this pair. Infinite cut:
+    p_dsa and expected_success_time_inf. e_tas reads 0 where p_as is 0, and
+    with want_time false, where the pass stops once p_as is certified.
+    """
+    if tol <= 0.0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
+    if spec.infinite_cut:
+        return p_dsa(spec), expected_success_time_inf(spec) if want_time else 0.0
+    p_as, e_tas = _mixture_moments(spec, spec.t_cut, tol, want_time)
+    return min(p_as, 1.0), e_tas
+
+
+def _conditional_moments(spec: AttackSpec, tol: float) -> tuple[float, float]:
+    """_success_moments for callers that report e_tas: refuses a finite-cut
+    pair whose conditional mean is undefined. With no deadline the closed
+    form stands as it is (p_dsa > 0, though its rounding can read 0 or
+    less at depth)."""
+    p_as, e_tas = _success_moments(spec, tol)
+    if p_as <= 0.0 and not spec.infinite_cut:
+        raise UndefinedExpectationError(
+            "success has zero probability before this cut-time; "
+            "the conditional mean is undefined"
+        )
+    return p_as, e_tas
+
+
 def attack_success_prob(spec: AttackSpec, tol: float = 1e-12) -> float:
     """Probability the attack achieves before the cut-time.
 
@@ -222,12 +274,7 @@ def attack_success_prob(spec: AttackSpec, tol: float = 1e-12) -> float:
     cut: exactly the total mass p_dsa (waiting forever collects every state).
     Nondecreasing in t_cut with limit p_dsa.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    if spec.infinite_cut:
-        return p_dsa(spec)
-    p_as, _ = _mixture_moments(spec, spec.t_cut, tol, want_time=False)
-    return min(p_as, 1.0)
+    return _success_moments(spec, tol, want_time=False)[0]
 
 
 def expected_success_time(spec: AttackSpec, tol: float = 1e-12) -> float:
@@ -238,17 +285,7 @@ def expected_success_time(spec: AttackSpec, tol: float = 1e-12) -> float:
     ErlangCDF(i+1, T), divided by the success probability. Always below
     t_cut. Infinite cut: the closed form of expected_success_time_inf.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    if spec.infinite_cut:
-        return expected_success_time_inf(spec)
-    p_as, num = _mixture_moments(spec, spec.t_cut, tol, want_time=True)
-    if p_as <= 0.0:
-        raise UndefinedExpectationError(
-            "success has zero probability before this cut-time; "
-            "the conditional mean is undefined"
-        )
-    return num / p_as
+    return _conditional_moments(spec, tol)[1]
 
 
 def expected_success_time_inf(spec: AttackSpec) -> float:
@@ -273,7 +310,7 @@ def expected_success_time_inf(spec: AttackSpec) -> float:
             "the conditional mean success time diverges at p_a = 1/2; "
             "use a finite cut-time or the Monte Carlo estimator"
         )
-    n_bc = spec.n_bc
+    n_bc = _float_depth(spec)
     pa, ph = spec.p_a, spec.p_h
     p_big, p_small = spec.p_max, spec.p_min
     parts = [n_bc / ph]

@@ -69,6 +69,18 @@ class TestSmoke:
         assert result["c_req"] == pytest.approx(16.22, rel=1e-2)
         assert result["assessment"] == "profitable above required value"
 
+    @pytest.mark.parametrize("cmd", [
+        ["creq", "--gamma", "0.422", "--beta", "0.44"], ["case-study"]])
+    def test_unbounded_subhalf_at_depth(self, cmd, bch_config, capsys):
+        # p_dsa rounds below 0 at (0.1, 100); the requirement is still infinite
+        if cmd[0] == "case-study":
+            cmd = cmd + ["--config", bch_config]
+        assert run(cmd + ["--pa", "0.1", "--nbc", "100", "--cut-mult", "inf",
+                          "--format", "json"]) == 0
+        _, result = _json_out(capsys)
+        assert result["c_req"] == "infinite"
+        assert result["assessment"] == "never profitable"
+
     def test_table_csv_rows(self, capsys):
         assert run(["table", "--nbc", "1,3,5,7,9", "--pa", "0.35,0.4",
                     "--cut-mult", "4", "--format", "csv"]) == 0
@@ -159,6 +171,18 @@ class TestExitCodes:
         assert run(["simulate", "--pa", "0.35", "--nbc", "1",
                     "--cut-time", "inf", "--trials", "10"]) == 2
         assert "event_cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["prob", "--pa", "0.35", "--nbc", "530", "--cut-mult", "4"],
+        ["expect-time", "--pa", "0.35", "--nbc", "530", "--cut-mult", "4"],
+        ["expect-time", "--pa", "0.35", "--nbc", "530", "--cut-mult", "inf"],
+        ["pdf", "--pa", "0.35", "--nbc", "530", "--points", "2"],
+        ["table", "--nbc", "530", "--pa", "0.35", "--cut-mult", "4"],
+    ], ids=lambda argv: argv[0] + " " + argv[-1])
+    def test_confirmations_beyond_float_limit(self, argv, capsys):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_bc = 530 exceeds 515")
 
 
 def test_repeat_invocations_byte_identical(capsys):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doublespend import timing
+from doublespend.cli import run
 from doublespend.economics import (
     INFINITE_REQUIREMENT,
     EconomicModel,
@@ -16,6 +18,7 @@ from doublespend.economics import (
 )
 from doublespend.errors import DomainError, SingularityError, \
     UnsupportedAnalyticError
+from doublespend.reporting import NetworkConfig, build_resource_table, case_study
 from doublespend.timing import attack_success_prob, expected_success_time
 from doublespend.walk import INFINITE, AttackSpec
 
@@ -139,6 +142,19 @@ def test_unbounded_subhalf_attack_requires_infinite_value():
     assert expected_profit(at_any, spec) == -math.inf
 
 
+@pytest.mark.parametrize("n_bc", [100, 530])
+def test_unbounded_subhalf_attack_does_not_read_p_dsa(n_bc):
+    # p_dsa's 1 - sum cancels below 0 at (0.1, 100), and the mean success
+    # time stops at n_bc 515; neither decides an attack that never gives up
+    spec = AttackSpec(p_a=0.1, n_bc=n_bc, t_cut=INFINITE)
+    model = EconomicModel(gamma=1.0, beta=1.04, value=5.0)
+    assert required_value(model, spec) is INFINITE_REQUIREMENT
+    assert expected_opex(model, spec) == math.inf
+    assert expected_profit(model, spec) == -math.inf
+    proj = repeated_attack_projection(model, spec, 3)
+    assert proj["expected_runtime_per_attempt"] == math.inf
+
+
 def test_required_value_singular_at_half():
     spec = AttackSpec(p_a=0.5, n_bc=5, t_cut=INFINITE, lambda_h=1 / 600)
     model = EconomicModel(gamma=1.0, beta=1.04)
@@ -200,3 +216,48 @@ def test_profit_consistency_sweep(value, gamma, mu):
     assert expected_profit(model, BCH_SPEC) == pytest.approx(
         p_as * (value - c_req), rel=1e-8, abs=1e-8
     )
+
+
+def _pass_counter(monkeypatch):
+    calls = []
+    original = timing._mixture_moments
+
+    def counted(spec, t_cut, *args):
+        calls.append(spec)
+        return original(spec, t_cut, *args)
+
+    monkeypatch.setattr(timing, "_mixture_moments", counted)
+    return calls
+
+
+BCH_CONFIG = NetworkConfig(name="bch", beta_per_block=0.44,
+                           block_time_seconds=600.0, gamma_override=0.422)
+
+
+@pytest.mark.parametrize("compute", [
+    lambda: expected_opex(BCH_MODEL, BCH_SPEC),
+    lambda: expected_profit(BCH_MODEL, BCH_SPEC),
+    lambda: required_value(BCH_MODEL, BCH_SPEC),
+    lambda: repeated_attack_projection(BCH_MODEL, BCH_SPEC, 3),
+    lambda: case_study(BCH_CONFIG, 0.35, 5, 4.0),
+    lambda: run(["expect-time", "--pa", "0.35", "--nbc", "5", "--cut-mult", "4"]),
+], ids=["expected_opex", "expected_profit", "required_value",
+        "repeated_attack_projection", "case_study", "cli expect-time"])
+def test_one_mixture_pass_per_spec(compute, monkeypatch, capsys):
+    calls = _pass_counter(monkeypatch)
+    compute()
+    assert len(calls) == 1
+
+
+def test_one_mixture_pass_per_table_cell(monkeypatch):
+    calls = _pass_counter(monkeypatch)
+    build_resource_table([1, 3, 5], [0.3, 0.4], 4.0)
+    assert len(calls) == 6
+
+
+def test_pair_matches_single_quantity_passes():
+    # at (0.45, 4, c 4) the series certifies p_as some states before E_TAS
+    for spec in (AttackSpec(p_a=0.45, n_bc=4, t_cut=16.0), BCH_SPEC,
+                 AttackSpec(p_a=0.6, n_bc=3, t_cut=INFINITE)):
+        assert timing._success_moments(spec, 1e-12) == (
+            attack_success_prob(spec), expected_success_time(spec))

@@ -143,6 +143,19 @@ def test_expected_success_time_singularity_at_half():
         expected_success_time_inf(spec)
 
 
+def test_float_depth_limit():
+    # C(2 n_bc - 1, n_bc - 1) first overflows a float at n_bc = 516
+    assert math.isfinite(float(math.comb(2 * 515 - 1, 514)))
+    with pytest.raises(OverflowError):
+        float(math.comb(2 * 516 - 1, 515))
+    deepest = AttackSpec(p_a=0.35, n_bc=515, t_cut=INFINITE)
+    assert math.isfinite(expected_success_time_inf(deepest))
+    with pytest.raises(DomainError, match="515"):
+        expected_success_time_inf(AttackSpec(p_a=0.35, n_bc=516, t_cut=INFINITE))
+    with pytest.raises(DomainError, match="515"):
+        attack_success_prob(AttackSpec(p_a=0.35, n_bc=516, t_cut=2064.0))
+
+
 def test_expected_success_time_unbounded_below_bounded_cut():
     # conditioning on success within a deadline biases the mean downward
     spec_fin = AttackSpec(t_cut=12000.0, **BCH)
