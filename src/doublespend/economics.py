@@ -47,6 +47,10 @@ class EconomicModel:
     reward_growth: GrowthPairs | None = None
 
     def __post_init__(self):
+        for label, number in (("gamma", self.gamma), ("beta", self.beta),
+                              ("transaction value", self.value)):
+            if not math.isfinite(number):
+                raise DomainError(f"{label} must be finite, got {number}")
         if not self.gamma > 0.0:
             raise DomainError(f"gamma must be positive, got {self.gamma}")
         if not self.beta > 0.0:

@@ -11,14 +11,20 @@ from a counter-based stream keyed (master_seed, k), so results are
 bit-identical for identical (spec, trials, master_seed) regardless of
 execution order, and trials could be farmed out concurrently without
 reordering randomness. Aggregation is commutative sums only.
+
+Execution is batched: a block of trials is walked at once, each trial on
+its own stream, drawing exactly what it would draw walked alone, and the
+block is resolved with a few array operations. Summaries fold the trials
+in trial order, so they do not depend on the block size, and memory stays
+bounded whatever the trial count and event cap.
 """
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
-from typing import IO, Callable, Iterable
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -28,6 +34,9 @@ from .walk import AttackSpec
 
 _EVENT_CAP_DEFAULT = 10_000_000
 _CHUNK = 48
+# floats per array in one block of the batched walk
+_BLOCK_ELEMENTS = 16384
+_MAX_CHUNKS = _BLOCK_ELEMENTS // _CHUNK
 _ENUM_MAX_STATES = 24
 
 
@@ -77,6 +86,28 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
+def _check_trials(trials: int) -> None:
+    if not isinstance(trials, int) or isinstance(trials, bool):
+        raise DomainError(f"trial count must be an integer, got {trials!r}")
+    if trials < 1:
+        raise DomainError(f"trial count must be positive, got {trials}")
+
+
+def _check_cap(spec: AttackSpec, event_cap: int | None) -> int:
+    if event_cap is None:
+        if spec.infinite_cut and spec.p_a < 0.5:
+            raise DomainError(
+                "unbounded cut-time with attacker share below one half needs "
+                "an explicit event_cap: failing trials never terminate"
+            )
+        return _EVENT_CAP_DEFAULT
+    if not isinstance(event_cap, int) or isinstance(event_cap, bool):
+        raise DomainError(f"event cap must be an integer, got {event_cap!r}")
+    if event_cap < 1:
+        raise DomainError(f"event cap must be positive, got {event_cap}")
+    return event_cap
+
+
 def _cut_value(spec: AttackSpec) -> float:
     return math.inf if spec.infinite_cut else spec.t_cut
 
@@ -98,15 +129,7 @@ def simulate_one(spec: AttackSpec, stream_seed: int | tuple[int, int],
     walk fails with positive probability only by running forever, so a trial
     without a cap could never report failure.
     """
-    if event_cap is None:
-        if spec.infinite_cut and spec.p_a < 0.5:
-            raise DomainError(
-                "unbounded cut-time with attacker share below one half needs "
-                "an explicit event_cap: failing trials never terminate"
-            )
-        event_cap = _EVENT_CAP_DEFAULT
-    elif event_cap < 1:
-        raise DomainError(f"event cap must be positive, got {event_cap}")
+    event_cap = _check_cap(spec, event_cap)
     if isinstance(stream_seed, tuple):
         key = tuple(_check_seed(word) for word in stream_seed)
         if len(key) != 2:
@@ -115,57 +138,173 @@ def simulate_one(spec: AttackSpec, stream_seed: int | tuple[int, int],
             )
     else:
         key = (_check_seed(stream_seed), 0)
-    # explicit dtype: a plain tuple is cast through float64 and mangles
-    # seeds above 2**53
-    key = np.array(key, dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
     if independent_clocks:
+        # explicit dtype: a plain tuple is cast through float64 and mangles
+        # seeds above 2**53
+        rng = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
         return _simulate_two_clocks(spec, rng, event_cap)
-    return _simulate_merged(spec, rng, event_cap)
+    success, t_dsa, blocks_a, blocks_h, truncated = next(
+        _walk(spec, key[0], key[1], 1, event_cap))
+    return TrialOutcome(
+        success=bool(success[0]),
+        t_dsa=float(t_dsa[0]) if success[0] else None,
+        blocks_a=int(blocks_a[0]),
+        blocks_h=int(blocks_h[0]),
+        truncated=bool(truncated[0]),
+    )
 
 
-def _simulate_merged(spec: AttackSpec, rng: np.random.Generator,
-                     event_cap: int) -> TrialOutcome:
-    # merged process: gaps ~ Exp(lambda_t), attacker attribution ~ Bernoulli(p_a)
-    n_bc = spec.n_bc
-    p_a = spec.p_a
-    inv_rate = 1.0 / spec.lambda_t
-    t_cut = _cut_value(spec)
-    t_base = 0.0
-    a_base = 0
-    events = 0
-    offsets = np.arange(1, _CHUNK + 1)
-    while events < event_cap:
-        k = min(_CHUNK, event_cap - events)
-        gaps = rng.standard_exponential(k) * inv_rate
-        attacker = rng.random(k) < p_a
-        times = t_base + np.cumsum(gaps)
-        a_cum = a_base + np.cumsum(attacker)
-        idx = offsets[:k] + events
-        h_cum = idx - a_cum
-        achieved = (h_cum >= n_bc) & (a_cum > h_cum)
-        cut_at = int(np.searchsorted(times, t_cut, side="left"))
-        if achieved.any():
-            hit = int(np.argmax(achieved))
-            if hit < cut_at:
-                return TrialOutcome(
-                    success=True,
-                    t_dsa=float(times[hit]),
-                    blocks_a=int(a_cum[hit]),
-                    blocks_h=int(h_cum[hit]),
-                )
-        if cut_at < k:
-            last = cut_at - 1
-            blocks_a = int(a_cum[last]) if last >= 0 else a_base
-            blocks_h = int(idx[last] - a_cum[last]) if last >= 0 else events - a_base
-            return TrialOutcome(success=False, t_dsa=None,
-                                blocks_a=blocks_a, blocks_h=blocks_h)
-        events += k
-        t_base = float(times[-1])
-        a_base = int(a_cum[-1])
-    return TrialOutcome(success=False, t_dsa=None,
-                        blocks_a=a_base, blocks_h=events - a_base,
-                        truncated=True)
+def _first_chunks(spec: AttackSpec, event_cap: int) -> int:
+    # enough chunks to cover the arrivals before the cut in all but a few
+    # trials: mean x plus four standard deviations of a Poisson(x) count
+    if spec.infinite_cut:
+        chunks = 1.0
+    else:
+        x = spec.lambda_t * spec.t_cut
+        chunks = (x + 4.0 * math.sqrt(x) + 1.0) / _CHUNK
+    return min(math.ceil(min(chunks, _MAX_CHUNKS)), -(-event_cap // _CHUNK))
+
+
+def _walk(spec: AttackSpec, master_seed: int, first: int, count: int,
+          event_cap: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """Walk the trials keyed (master_seed, first + i) for i < count.
+
+    Yields, block by block in trial order, the arrays (success, t_dsa,
+    blocks_a, blocks_h, truncated); t_dsa is NaN where a trial did not
+    succeed. Each trial draws from its own stream exactly what a chunked
+    walk of one trial at a time draws: per chunk of up to _CHUNK arrivals,
+    the exponential gaps and then the attribution uniforms, the last chunk
+    shortened to the event cap. A block first draws the chunks that cover
+    the arrivals expected before the cut; trials still open continue with
+    twice as many chunks per pass. No array holds more than about
+    _BLOCK_ELEMENTS numbers.
+    """
+    # one generator, re-keyed per trial through its state setter: counter
+    # 0, key (master_seed, k) and an empty buffer give the same stream as a
+    # fresh Philox(key=(master_seed, k)), without the entropy draw that a
+    # new instance makes and the key then discards. Plain lists make the
+    # setter's element reads cheaper than arrays do.
+    key = [master_seed, first]
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    bitgen = np.random.Philox()
+    gen = np.random.Generator(bitgen)
+    scratch = np.empty(_CHUNK)
+
+    def draw(trials, saved, events, pieces, gaps, uniforms):
+        # fills one row per trial; a trial that continues past its second
+        # pass resumes from its saved state
+        gaps_into, uniforms_into = gen.standard_exponential, gen.random
+        for gap_row, uniform_row, trial in zip(gaps, uniforms, trials):
+            state = saved.get(trial)
+            if state is None:
+                key[1] = trial
+                bitgen.state = fresh
+                # a trial open after its first pass replays that pass once
+                for _ in range(events // _CHUNK):
+                    gaps_into(out=scratch)
+                    uniforms_into(out=scratch)
+            else:
+                bitgen.state = state
+            for piece in pieces:
+                gaps_into(out=gap_row[piece])
+                uniforms_into(out=uniform_row[piece])
+            if events:
+                saved[trial] = bitgen.state
+
+    first_chunks = _first_chunks(spec, event_cap)
+    block_rows = max(1, _BLOCK_ELEMENTS // (first_chunks * _CHUNK))
+    for start in range(0, count, block_rows):
+        n = min(block_rows, count - start)
+        out = (np.zeros(n, dtype=bool), np.full(n, math.nan),
+               np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
+               np.zeros(n, dtype=bool))
+        t_base = np.zeros(n)
+        a_base = np.zeros(n, dtype=np.int64)
+        saved: dict[int, dict] = {}
+        open_rows = np.arange(n)
+        events = 0
+        chunks = first_chunks
+        while open_rows.size:
+            span = chunks * _CHUNK
+            drawn = min(span, event_cap - events)
+            pieces = [slice(lo, min(lo + _CHUNK, drawn)) for lo in range(0, drawn, _CHUNK)]
+            rows = max(1, _BLOCK_ELEMENTS // span)
+            still_open = []
+            for lo in range(0, open_rows.size, rows):
+                pos = open_rows[lo:lo + rows]
+                gaps = np.zeros((pos.size, span))
+                uniforms = np.zeros((pos.size, span))
+                draw([first + start + p for p in pos.tolist()], saved, events, pieces,
+                     gaps, uniforms)
+                still_open.append(_settle(spec, gaps, uniforms, events, drawn, event_cap,
+                                          pos, out, t_base, a_base))
+            open_rows = np.concatenate(still_open)
+            events += drawn
+            chunks = min(2 * chunks, _MAX_CHUNKS, -(-(event_cap - events) // _CHUNK))
+        yield out
+
+
+def _settle(spec: AttackSpec, gaps: np.ndarray, uniforms: np.ndarray, events: int,
+            drawn: int, event_cap: int, pos: np.ndarray, out: tuple[np.ndarray, ...],
+            t_base: np.ndarray, a_base: np.ndarray) -> np.ndarray:
+    """Resolve the rows drawn for the trials at block positions pos.
+
+    Each row holds the next `drawn` arrivals of its trial, `events` arrivals
+    having gone before. A row stops at its first achieving arrival if that
+    comes before its first arrival at or after the cut, and otherwise fails
+    there. Outcomes go into out; rows that reach the event cap are
+    truncated. Returns the positions still open, whose last time and
+    attacker count are carried in t_base and a_base. gaps is overwritten.
+    """
+    success, t_dsa, blocks_a, blocks_h, truncated = out
+    rows = gaps.shape[0]
+    # times chain chunk by chunk as base + cumsum(chunk), the base being the
+    # previous chunk's last time: one cumsum over the row would round
+    # differently. The gaps become the times in place, to keep the block's
+    # memory small.
+    gaps *= 1.0 / spec.lambda_t
+    within = gaps.reshape(rows, -1, _CHUNK)
+    np.cumsum(within, axis=2, out=within)
+    within += np.cumsum(np.column_stack([t_base[pos], within[:, :-1, -1]]), axis=1)[:, :, None]
+    times = gaps[:, :drawn]
+    # attacker blocks before each arrival (column 0) and after it
+    a_cum = np.column_stack([a_base[pos], uniforms[:, :drawn] < spec.p_a])
+    np.cumsum(a_cum, axis=1, out=a_cum)
+    arrivals = np.arange(events + 1, events + drawn + 1)
+    # h = arrivals - a honest blocks: achieved when h >= n_bc and a > h
+    achieved = (a_cum[:, 1:] <= arrivals - spec.n_bc) & (a_cum[:, 1:] > arrivals // 2)
+    cut = times >= _cut_value(spec)
+    stop = achieved | cut
+    at = stop.argmax(axis=1)
+    row = np.arange(rows)
+    stopped = stop[row, at]
+    won = stopped & ~cut[row, at]
+    lost = stopped & ~won
+    i = pos[won]
+    success[i] = True
+    t_dsa[i] = times[won, at[won]]
+    blocks_a[i] = a_cum[won, at[won] + 1]
+    blocks_h[i] = arrivals[at[won]] - blocks_a[i]
+    # a trial cut off at an arrival reports the blocks found before it
+    i = pos[lost]
+    blocks_a[i] = a_cum[lost, at[lost]]
+    blocks_h[i] = events + at[lost] - blocks_a[i]
+    going = ~stopped
+    i = pos[going]
+    a_base[i] = a_cum[going, -1]
+    if events + drawn == event_cap:
+        truncated[i] = True
+        blocks_a[i] = a_base[i]
+        blocks_h[i] = event_cap - a_base[i]
+        return pos[:0]
+    t_base[i] = times[going, -1]
+    return i
+
+
+def _rows(blocks: Iterable[tuple[np.ndarray, ...]]) -> Iterator[tuple]:
+    for block in blocks:
+        yield from zip(*(column.tolist() for column in block))
 
 
 def _simulate_two_clocks(spec: AttackSpec, rng: np.random.Generator,
@@ -198,9 +337,12 @@ def _simulate_two_clocks(spec: AttackSpec, rng: np.random.Generator,
                         blocks_h=blocks_h, truncated=True)
 
 
-def _aggregate(outcomes: Iterable[TrialOutcome], trials: int, master_seed: int,
-               profit_of: Callable[[TrialOutcome], float] | None = None,
+def _aggregate(outcomes: Iterable[tuple[bool, float | None, int, int, bool]],
+               trials: int, master_seed: int,
+               profit_of: Callable[[float | None], float] | None = None,
                trace_to: IO[str] | None = None) -> SimulationSummary:
+    # outcomes are (success, t_dsa, blocks_a, blocks_h, truncated) in trial
+    # order; t_dsa is read only on success
     writer = None
     if trace_to is not None:
         writer = csv.writer(trace_to)
@@ -211,23 +353,20 @@ def _aggregate(outcomes: Iterable[TrialOutcome], trials: int, master_seed: int,
     sum_t2 = 0.0
     sum_profit = 0.0
     counted = 0
-    for k, out in enumerate(outcomes):
+    for k, (success, t_dsa, blocks_a, blocks_h, cut_off) in enumerate(outcomes):
         if writer is not None:
-            writer.writerow([
-                k, int(out.success),
-                "" if out.t_dsa is None else repr(out.t_dsa),
-                out.blocks_a, out.blocks_h,
-            ])
-        if out.truncated:
+            writer.writerow([k, int(success), repr(t_dsa) if success else "",
+                             blocks_a, blocks_h])
+        if cut_off:
             truncated += 1
             continue
         counted += 1
-        if out.success:
+        if success:
             successes += 1
-            sum_t += out.t_dsa
-            sum_t2 += out.t_dsa * out.t_dsa
+            sum_t += t_dsa
+            sum_t2 += t_dsa * t_dsa
         if profit_of is not None:
-            sum_profit += profit_of(out)
+            sum_profit += profit_of(t_dsa if success else None)
     p_hat = successes / counted if counted else math.nan
     if successes > 0:
         mean_t = sum_t / successes
@@ -267,13 +406,17 @@ def estimate(spec: AttackSpec, trials: int, master_seed: int,
     aggregates in fixed trial order. Optional trace_to receives one CSV row
     per trial.
     """
-    if trials < 1:
-        raise DomainError(f"trial count must be positive, got {trials}")
+    _check_trials(trials)
     _check_seed(master_seed)
-    outcomes = (
-        simulate_one(spec, (master_seed, k), event_cap, independent_clocks)
-        for k in range(trials)
-    )
+    event_cap = _check_cap(spec, event_cap)
+    if independent_clocks:
+        outcomes = (
+            astuple(simulate_one(spec, (master_seed, k), event_cap,
+                                 independent_clocks=True))
+            for k in range(trials)
+        )
+    else:
+        outcomes = _rows(_walk(spec, master_seed, 0, trials, event_cap))
     return _aggregate(outcomes, trials, master_seed, trace_to=trace_to)
 
 
@@ -291,22 +434,19 @@ def estimate_profit(model: EconomicModel, spec: AttackSpec, trials: int,
             "profit estimation needs a finite cut-time: a failed unbounded "
             "attempt has unbounded cost"
         )
-    if trials < 1:
-        raise DomainError(f"trial count must be positive, got {trials}")
+    _check_trials(trials)
     _check_seed(master_seed)
+    event_cap = _check_cap(spec, event_cap)
     lam_a = spec.lambda_a
 
-    def profit_of(out: TrialOutcome) -> float:
-        if out.success:
-            return model.value + reward(model, lam_a, out.t_dsa) \
-                - opex(model, lam_a, out.t_dsa)
+    def profit_of(t_dsa: float | None) -> float:
+        if t_dsa is not None:
+            return model.value + reward(model, lam_a, t_dsa) \
+                - opex(model, lam_a, t_dsa)
         return -opex(model, lam_a, spec.t_cut)
 
-    outcomes = (
-        simulate_one(spec, (master_seed, k), event_cap) for k in range(trials)
-    )
-    return _aggregate(outcomes, trials, master_seed,
-                      profit_of=profit_of, trace_to=trace_to)
+    return _aggregate(_rows(_walk(spec, master_seed, 0, trials, event_cap)), trials,
+                      master_seed, profit_of=profit_of, trace_to=trace_to)
 
 
 def enumerate_exact(spec: AttackSpec, i_max: int) -> list[float]:

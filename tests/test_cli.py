@@ -173,6 +173,16 @@ class TestExitCodes:
         assert "event_cap" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
+        ["simulate", "--pa", "0.35", "--nbc", "2", "--cut-mult", "4",
+         "--trials", "10", "--gamma", "inf", "--beta", "0.44"],
+        ["profit", "--pa", "0.35", "--nbc", "5", "--cut-mult", "4",
+         "--gamma", "0.422", "--beta", "0.44", "--value", "nan"],
+    ], ids=lambda argv: argv[0])
+    def test_nonfinite_economics(self, argv, capsys):
+        assert run(argv) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
         ["prob", "--pa", "0.35", "--nbc", "530", "--cut-mult", "4"],
         ["expect-time", "--pa", "0.35", "--nbc", "530", "--cut-mult", "4"],
         ["expect-time", "--pa", "0.35", "--nbc", "530", "--cut-mult", "inf"],

@@ -40,6 +40,18 @@ class TestEconomicModel:
         with pytest.raises(DomainError):
             EconomicModel(**kw)
 
+    @pytest.mark.parametrize("kw", [
+        dict(gamma=math.inf, beta=1.0),
+        dict(gamma=math.nan, beta=1.0),
+        dict(gamma=1.0, beta=math.inf),
+        dict(gamma=1.0, beta=math.nan),
+        dict(gamma=1.0, beta=1.0, value=math.inf),
+        dict(gamma=1.0, beta=1.0, value=math.nan),
+    ])
+    def test_rejects_nonfinite(self, kw):
+        with pytest.raises(DomainError, match="must be finite"):
+            EconomicModel(**kw)
+
     def test_growth_pairs_validated(self):
         with pytest.raises(DomainError):
             EconomicModel(gamma=1.0, beta=1.0,

@@ -8,6 +8,7 @@ enumeration with the closed-form per-state mass.
 
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from doublespend import (
     reward,
     simulate_one,
 )
+from doublespend.simulate import _BLOCK_ELEMENTS, _CHUNK, _check_cap, _first_chunks
 
 BCH = AttackSpec(p_a=0.35, n_bc=5, t_cut=12000.0, lambda_h=1 / 600)
 SMALL = AttackSpec(p_a=0.35, n_bc=2, t_cut=4800.0, lambda_h=1 / 600)
@@ -82,9 +84,34 @@ class TestValidation:
         with pytest.raises(DomainError):
             estimate(SMALL, trials=0, master_seed=1)
 
+    @pytest.mark.parametrize("trials", [2.5, 3.0, True, "3"])
+    def test_trial_count_must_be_integer(self, trials):
+        with pytest.raises(DomainError, match="trial count must be an integer"):
+            estimate(SMALL, trials=trials, master_seed=1)
+        with pytest.raises(DomainError, match="trial count must be an integer"):
+            estimate_profit(TestProfitEstimation.MODEL, SMALL, trials=trials,
+                            master_seed=1)
+
+    def test_cap_checked_before_any_trial(self):
+        open_ended = AttackSpec(p_a=0.35, n_bc=1, t_cut=INFINITE,
+                                lambda_h=1 / 600)
+        for cap in (None, 0):
+            buf = io.StringIO()
+            with pytest.raises(DomainError):
+                estimate(open_ended, trials=10, master_seed=1, event_cap=cap,
+                         trace_to=buf)
+            assert buf.getvalue() == ""
+
     def test_bad_event_cap(self):
         with pytest.raises(DomainError):
             simulate_one(SMALL, 1, event_cap=0)
+
+    @pytest.mark.parametrize("cap", [2.5, 30.0, True])
+    def test_event_cap_must_be_integer(self, cap):
+        with pytest.raises(DomainError, match="event cap must be an integer"):
+            estimate(SMALL, trials=5, master_seed=1, event_cap=cap)
+        with pytest.raises(DomainError, match="event cap must be an integer"):
+            simulate_one(SMALL, 1, event_cap=cap)
 
     def test_unbounded_subhalf_needs_explicit_cap(self):
         open_ended = AttackSpec(p_a=0.35, n_bc=1, t_cut=INFINITE,
@@ -165,6 +192,67 @@ def test_trace_stream():
             assert t_dsa == ""
         assert int(blocks_a) >= 0 and int(blocks_h) >= 0
     assert successes == summary.successes
+
+
+def _block_rows(spec, event_cap):
+    chunks = _first_chunks(spec, _check_cap(spec, event_cap))
+    return max(1, _BLOCK_ELEMENTS // (_CHUNK * chunks))
+
+
+def _trace_rows(spec, trials, seed, event_cap):
+    buf = io.StringIO()
+    estimate(spec, trials, seed, event_cap=event_cap, trace_to=buf)
+    return buf.getvalue().splitlines()[1:]
+
+
+# a finite cut with short and with multi-chunk trials, and no cut on both
+# sides of p_a = 1/2; 130 is not a multiple of the 48-arrival chunk
+BATCH_SPECS = [
+    (AttackSpec(p_a=0.35, n_bc=5, t_cut=12000.0, lambda_h=1 / 600), 130),
+    (AttackSpec(p_a=0.45, n_bc=30, t_cut=72000.0, lambda_h=1 / 600), 130),
+    (AttackSpec(p_a=0.6, n_bc=3, t_cut=INFINITE, lambda_h=1 / 600), 130),
+    (AttackSpec(p_a=0.3, n_bc=2, t_cut=INFINITE, lambda_h=1 / 600), 130),
+    (AttackSpec(p_a=0.35, n_bc=5, t_cut=12000.0, lambda_h=1 / 600), None),
+]
+
+
+@pytest.mark.parametrize("spec,event_cap", BATCH_SPECS)
+def test_batched_trials_replay_alone(spec, event_cap):
+    trials = 3 * _block_rows(spec, event_cap) + 7
+    seed = 2 ** 63 + 11
+    for k, row in enumerate(_trace_rows(spec, trials, seed, event_cap)):
+        out = simulate_one(spec, (seed, k), event_cap)
+        t_dsa = "" if out.t_dsa is None else repr(out.t_dsa)
+        assert row == f"{k},{int(out.success)},{t_dsa},{out.blocks_a},{out.blocks_h}"
+
+
+@pytest.mark.parametrize("spec,event_cap", BATCH_SPECS)
+def test_batched_trials_do_not_depend_on_run_length(spec, event_cap):
+    trials = 3 * _block_rows(spec, event_cap) + 7
+    short = _trace_rows(spec, trials, 5, event_cap)
+    assert _trace_rows(spec, 2 * trials, 5, event_cap)[:trials] == short
+
+
+def _peak_bytes(spec, trials, event_cap=None):
+    tracemalloc.start()
+    try:
+        estimate(spec, trials, 3, event_cap=event_cap)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_trials_or_cap():
+    long_walk = AttackSpec(p_a=0.45, n_bc=30, t_cut=72000.0, lambda_h=1 / 600)
+    open_ended = AttackSpec(p_a=0.3, n_bc=2, t_cut=INFINITE, lambda_h=1 / 600)
+    _peak_bytes(long_walk, 10)  # leave first-call allocations out
+    few = _peak_bytes(long_walk, 1_000)
+    many = _peak_bytes(long_walk, 10_000)
+    # keeping a number per trial would add at least 9_000 * 8 bytes
+    assert many - few < 64 * 1024
+    assert many < 3 * 2 ** 20
+    # trials that run to a cap of 200_000 arrivals stay within the same bound
+    assert _peak_bytes(open_ended, 3, event_cap=200_000) < 3 * 2 ** 20
 
 
 class TestProfitEstimation:
