@@ -16,7 +16,7 @@ Two independent evaluation routes are kept deliberately separate:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import (
@@ -130,7 +130,7 @@ def _float_depth(spec: AttackSpec) -> int:
 
 
 def _state_mass_iter(spec: AttackSpec):
-    """Yield (i, p_i) for i = 2*n_bc + 1, 2*n_bc + 2, ... without big integers.
+    """Yield p_i for i = 2*n_bc + 1, 2*n_bc + 2, ... without big integers.
 
     Float ratio recursions equivalent to p_dsa_at_state: the ballot-family
     lanes advance by C(n+1,m)/C(n,m) = (2n+m+1)(2n+m+2)/((n+1)(n+m+2)) times
@@ -161,14 +161,36 @@ def _state_mass_iter(spec: AttackSpec):
                     / ((n + 1) * (n + m + 2)) * paph
                 )
             n += 1
-        yield i, p_i
+        yield p_i
         t2 *= i / (i - n_bc + 1) * pa
         i += 1
 
 
+def _replayed(source):
+    """A factory of iterators that each yield the values of source from the
+    start. Each value is generated once, when the first iterator reaches
+    it, and kept in a list, so passes run one after another share one walk.
+    """
+    seen = []
+
+    def replay():
+        yield from seen
+        for value in source:
+            seen.append(value)
+            yield value
+    return replay
+
+
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+
+
 def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float,
-                     want_time: bool) -> tuple[float, float]:
-    """Shared Erlang-mixture series for P_AS and E_TAS.
+                     want_time: bool, states, total_mass: float
+                     ) -> tuple[float, float]:
+    """Shared Erlang-mixture series for P_AS and E_TAS, over the state
+    masses p_i that states yields and their closed-form total total_mass.
 
     Returns (p_as, e_tas) where
 
@@ -191,7 +213,6 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float,
     """
     lam_t = spec.lambda_t
     x = lam_t * t_cut
-    total_mass = p_dsa(spec)
     i0 = 2 * spec.n_bc + 1
     cdf = regularized_gamma_p(float(i0), x)
     if cdf <= 0.0:
@@ -203,7 +224,7 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float,
     p_as = None
     mass_seen = 0.0
     steps = 0
-    for i, p_i in _state_mass_iter(spec):
+    for i, p_i in enumerate(states, i0):
         cdf_next = cdf - u
         if cdf_next < 0.0:
             cdf_next = 0.0
@@ -245,11 +266,11 @@ def _success_moments(spec: AttackSpec, tol: float,
     p_dsa and expected_success_time_inf. e_tas reads 0 where p_as is 0, and
     with want_time false, where the pass stops once p_as is certified.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     if spec.infinite_cut:
         return p_dsa(spec), expected_success_time_inf(spec) if want_time else 0.0
-    p_as, e_tas = _mixture_moments(spec, spec.t_cut, tol, want_time)
+    p_as, e_tas = _mixture_moments(spec, spec.t_cut, tol, want_time,
+                                   _state_mass_iter(spec), p_dsa(spec))
     return min(p_as, 1.0), e_tas
 
 
@@ -330,14 +351,22 @@ def expected_success_time_inf(spec: AttackSpec) -> float:
 def sampling_grid(spec: AttackSpec, times: list[float],
                   tol: float = 1e-12) -> list[tuple[float, float, float]]:
     """(t, density, cdf) rows for export, cdf being the success probability
-    with the cut moved to t (the continuous part's distribution function)."""
+    with the cut moved to t (the continuous part's distribution function).
+
+    The state masses are walked once for the whole grid: each time's pass
+    replays them, so every cdf equals attack_success_prob with t_cut = t,
+    bit for bit. Every time is checked before any pass runs.
+    """
+    _check_tol(tol)
+    for t in times:
+        if not 0.0 <= t < math.inf:
+            raise DomainError(f"grid times must be finite and nonnegative, got {t}")
+    total_mass = p_dsa(spec)
+    states = _replayed(_state_mass_iter(spec))
     rows = []
     for t in times:
-        if t < 0.0:
-            raise DomainError(f"grid times must be nonnegative, got {t}")
         dens = dsa_time_density(spec, t, tol)
-        cdf = 0.0 if t == 0.0 else attack_success_prob(
-            replace(spec, t_cut=t), tol
-        )
+        cdf = 0.0 if t == 0.0 else min(_mixture_moments(
+            spec, t, tol, False, states(), total_mass)[0], 1.0)
         rows.append((t, dens, cdf))
     return rows

@@ -194,6 +194,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: n_bc = 530 exceeds 515")
 
+    @pytest.mark.parametrize("command", ["prob", "expect-time", "pdf"])
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_nonfinite_tolerance(self, command, tol, capsys):
+        assert run([command, "--pa", "0.35", "--nbc", "5", "--cut-mult", "4",
+                    "--tol", tol]) == 2
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_max", ["nan", "inf"])
+    def test_nonfinite_t_max(self, t_max, capsys):
+        assert run(["pdf", "--pa", "0.35", "--nbc", "5", "--t-max", t_max]) == 2
+        assert "finite and nonnegative" in capsys.readouterr().err
+
 
 def test_repeat_invocations_byte_identical(capsys):
     argv = ["simulate", "--pa", "0.35", "--nbc", "2", "--cut-mult", "4",

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from doublespend import timing
 from doublespend.errors import DomainError, SingularityError, \
     UndefinedExpectationError
 from doublespend.specfun import erlang_cdf, erlang_pdf
@@ -178,10 +180,56 @@ def test_sampling_grid_rows():
     assert rows[0][2] <= rows[1][2] <= rows[2][2]
 
 
-def test_sampling_grid_validation():
+def _call_counter(monkeypatch, name):
+    calls = []
+    original = getattr(timing, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(timing, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", [
+    AttackSpec(t_cut=INFINITE, **BCH),
+    AttackSpec(t_cut=12000.0, **BCH),
+    AttackSpec(p_a=0.6, n_bc=3, t_cut=INFINITE, lambda_h=1 / 600),
+], ids=["0.35 unbounded", "0.35 finite cut", "0.6 unbounded"])
+def test_one_state_walk_per_grid(spec, monkeypatch):
+    walks = _call_counter(monkeypatch, "_state_mass_iter")
+    totals = _call_counter(monkeypatch, "p_dsa")
+    # the first time lies before the earliest state can arrive
+    times = [1e-60] + [600.0 * k for k in range(1, 50)]
+    rows = sampling_grid(spec, times)
+    assert len(walks) == 1
+    assert len(totals) == 1
+    monkeypatch.undo()
+    assert rows[0][2] == 0.0
+    for t, _, cdf in rows:
+        assert cdf == attack_success_prob(replace(spec, t_cut=t))
+
+
+@pytest.mark.parametrize("bad", [-5.0, math.nan, math.inf, -math.inf])
+def test_sampling_grid_validation(bad, monkeypatch):
     spec = AttackSpec(t_cut=12000.0, **BCH)
-    with pytest.raises(DomainError):
-        sampling_grid(spec, [100.0, -5.0])
+    walks = _call_counter(monkeypatch, "_state_mass_iter")
+    with pytest.raises(DomainError, match="finite and nonnegative"):
+        sampling_grid(spec, [100.0, bad])
+    assert walks == []  # every time is checked before any pass
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
+def test_tolerance_must_be_positive_and_finite(tol):
+    for spec in (AttackSpec(t_cut=12000.0, **BCH),
+                 AttackSpec(t_cut=INFINITE, **BCH)):
+        with pytest.raises(DomainError, match="tolerance"):
+            attack_success_prob(spec, tol)
+        with pytest.raises(DomainError, match="tolerance"):
+            expected_success_time(spec, tol)
+        with pytest.raises(DomainError, match="tolerance"):
+            sampling_grid(spec, [100.0], tol)
 
 
 @given(t=st.floats(1.0, 1e6))
