@@ -5,16 +5,17 @@ p_dsa(spec) < 1 for an inferior attacker; the remaining mass is a point
 defect at infinity ("never succeeds"), carried as an explicit scalar and
 never as a density feature.
 
-Two independent evaluation routes are kept deliberately separate:
-
-- the Erlang-mixture series (per-state masses times Erlang stage laws),
-  which powers the success probability and expected-success-time operations
-  with certified truncation tails;
-- the closed-form density (hypergeometric block plus an incomplete-gamma
-  block), retained as an independently tested evaluator.
+One runtime route evaluates it: the Erlang-mixture series, per-state masses
+p_i times the Erlang stage laws of the merged arrival process. It gives the
+success probability (the distribution function at the cut), the expected
+success time and the density, each with a certified truncation tail.
+sampling_grid walks the state masses once for a whole grid of times. The
+paper's closed-form density (a hypergeometric block plus an
+incomplete-gamma block) is kept in the tests as an oracle for this series.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -25,7 +26,7 @@ from .errors import (
     SingularityError,
     UndefinedExpectationError,
 )
-from .specfun import HypergeomParams, log_hypergeom_pfq, regularized_gamma_p
+from .specfun import regularized_gamma_p
 from .walk import AttackSpec, p_dsa
 
 _MIXTURE_CAP = 2_000_000
@@ -44,7 +45,7 @@ class DefectiveTimeDistribution:
 
 
 def dsa_time_distribution(spec: AttackSpec, tol: float = 1e-12) -> DefectiveTimeDistribution:
-    """Bundle the closed-form density with its defect mass 1 - p_dsa."""
+    """Bundle the density with its defect mass 1 - p_dsa."""
     defect = max(1.0 - p_dsa(spec), 0.0)
     return DefectiveTimeDistribution(
         spec=spec,
@@ -54,69 +55,15 @@ def dsa_time_distribution(spec: AttackSpec, tol: float = 1e-12) -> DefectiveTime
 
 
 def dsa_time_density(spec: AttackSpec, t: float, tol: float = 1e-12) -> float:
-    """Closed-form continuous density of the achieving time at t > 0.
+    """Continuous density of the achieving time at t >= 0,
 
-    Sum of two blocks mirroring the two path families of p_dsa_at_state,
-    with x = p_a * p_h * (lambda_t * t)^2:
+      sum_i p_i * erlang_pdf(i, lambda_t, t),
 
-    - overtake-after-confirmation: p_a * lambda_t * e^(-lambda_t t)
-      * x^n_bc / (2 n_bc)! * sum_j binom(j-1, n_bc-1) 2F3(a_j; b_j; x),
-      where for j = n_bc..2*n_bc
-        a_j = (n_bc + 1 - j/2, n_bc + 1/2 - j/2)
-        b_j = (2*n_bc + 2 - j, n_bc + 1, n_bc + 1/2);
-    - confirmation-last: (p_h lambda_t t)^n_bc / (t (n_bc-1)!)
-      * e^(-lambda_t t) * (e^(p_a lambda_t t) - sum_{k<=n_bc} (p_a lambda_t t)^k / k!),
-      evaluated as e^(-lambda_h t) * P(n_bc+1, p_a lambda_t t) via the
-      regularized lower incomplete gamma, which removes both the
-      large-argument overflow and the small-argument cancellation of the
-      raw form.
-
-    Everything combines in log space; the hypergeometric factors use scaled
-    accumulation, so large t cannot overflow before the e^(-lambda_t t)
-    prefactor cancels the growth. Strictly nonnegative; t = 0 returns 0
-    (at least 2*n_bc + 1 arrivals are needed, so the density vanishes at the
-    origin like t^(2*n_bc)).
+    the one-time case of sampling_grid. Strictly nonnegative; t = 0 returns
+    0 (at least 2*n_bc + 1 arrivals are needed, so the density vanishes at
+    the origin like t^(2*n_bc)).
     """
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative, got {t}")
-    if t == 0.0:
-        return 0.0
-    n_bc = spec.n_bc
-    lam_t = spec.lambda_t
-    z = lam_t * t
-    x = spec.p_a * spec.p_h * z * z
-
-    log_pref = (
-        math.log(spec.p_a)
-        + math.log(lam_t)
-        - z
-        + n_bc * math.log(x)
-        - math.lgamma(2 * n_bc + 1)
-    )
-    term1 = 0.0
-    for j in range(n_bc, 2 * n_bc + 1):
-        params = HypergeomParams(
-            a=(n_bc + 1.0 - j / 2.0, n_bc + 0.5 - j / 2.0),
-            b=(2.0 * n_bc + 2.0 - j, n_bc + 1.0, n_bc + 0.5),
-        )
-        log_f = log_hypergeom_pfq(params, x, tol)
-        log_term = log_pref + math.log(math.comb(j - 1, n_bc - 1)) + log_f
-        if log_term > -745.0:
-            term1 += math.exp(log_term)
-
-    gamma_factor = regularized_gamma_p(n_bc + 1.0, spec.p_a * z)
-    term2 = 0.0
-    if gamma_factor > 0.0:
-        log_term2 = (
-            n_bc * math.log(spec.p_h * z)
-            - math.log(t)
-            - math.lgamma(n_bc)
-            - spec.lambda_h * t
-            + math.log(gamma_factor)
-        )
-        if log_term2 > -745.0:
-            term2 = math.exp(log_term2)
-    return term1 + term2
+    return sampling_grid(spec, [t], tol)[0][1]
 
 
 def _float_depth(spec: AttackSpec) -> int:
@@ -166,61 +113,54 @@ def _state_mass_iter(spec: AttackSpec):
         i += 1
 
 
-def _replayed(source):
-    """A factory of iterators that each yield the values of source from the
-    start. Each value is generated once, when the first iterator reaches
-    it, and kept in a list, so passes run one after another share one walk.
-    """
-    seen = []
-
-    def replay():
-        yield from seen
-        for value in source:
-            seen.append(value)
-            yield value
-    return replay
-
-
 def _check_tol(tol: float) -> None:
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
 
 
-def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float,
-                     want_time: bool, states, total_mass: float
-                     ) -> tuple[float, float]:
-    """Shared Erlang-mixture series for P_AS and E_TAS, over the state
-    masses p_i that states yields and their closed-form total total_mass.
-
-    Returns (p_as, e_tas) where
+def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, want: str,
+                     states, total_mass: float) -> tuple[float, float]:
+    """Shared Erlang-mixture series over the state masses p_i that states
+    yields, whose closed-form total is total_mass. With x = lambda_t * t_cut
+    it returns (p_as, second):
 
       p_as  = sum_i p_i * ErlangCDF(i, lambda_t, t_cut)
       e_tas = sum_i p_i * (i / lambda_t) * ErlangCDF(i+1, lambda_t, t_cut) / p_as
+      f     = sum_i p_i * erlang_pdf(i, lambda_t, t_cut)
 
-    The Erlang CDFs advance by the recurrence P(i+1, x) = P(i, x) -
-    e^-x x^i / i!, reset from the incomplete-gamma evaluator every 64 states
-    to cancel additive drift. Truncation is certified against the closed-form
-    total mass: the CDF decreases in the stage count i at fixed t, so the
-    remaining p_as mass after state I is at most P(I+1, x) * (p_dsa -
-    accumulated p-mass); for the numerator, integral(0..T) s *
-    erlang_pdf(i, s) ds <= T * ErlangCDF(i, T) scales the same bound by
-    t_cut.
+    second being e_tas for want "time", the density f for "density" and 0
+    for "p". The Erlang CDFs advance by P(i+1, x) = P(i, x) - u_i, with
+    u_i = e^-x x^i / i!, reset from the incomplete-gamma evaluator every 64
+    states to cancel additive drift; erlang_pdf(i) = lambda_t * u_(i-1).
+    Truncation is certified against the closed-form total mass: the CDF
+    decreases in the stage count i at fixed t, so the remaining p_as mass
+    after state I is at most P(I+1, x) * (p_dsa - accumulated p-mass); for
+    the numerator, integral(0..T) s * erlang_pdf(i, s) ds <= T *
+    ErlangCDF(i, T) scales the same bound by t_cut. The density's far terms
+    lie below the rounding of that remaining mass, so its tail uses masses
+    <= 1 instead: u_j shrinks by x / (j+1) per stage, so once I + 1 > x the
+    tail after state I is at most lambda_t * u_I * (I+1) / (I+1-x).
 
     p_as is the sum at the first checkpoint that certifies it, whether or
-    not the pass goes on to certify the numerator, so it does not depend on
-    want_time. e_tas divides by the sum where the pass stops; it is 0 when
-    that sum is 0 or want_time is false.
+    not the pass goes on to certify the second value, so it does not depend
+    on want. e_tas divides by the sum where the pass stops; it is 0 when
+    that sum is 0.
     """
+    want_time = want == "time"
+    want_density = want == "density"
     lam_t = spec.lambda_t
     x = lam_t * t_cut
     i0 = 2 * spec.n_bc + 1
     cdf = regularized_gamma_p(float(i0), x)
-    if cdf <= 0.0:
+    if cdf <= 0.0 and (x == 0.0 or not want_density):
         return 0.0, 0.0  # not even the earliest state fits before t_cut
     log_u = i0 * math.log(x) - x - math.lgamma(i0 + 1)
     u = math.exp(log_u) if log_u > -745.0 else 0.0
+    log_w = (i0 - 1) * math.log(x) - x - math.lgamma(i0)
+    w = math.exp(log_w) if log_w > -745.0 else 0.0  # u_(i-1) at state i
     acc_p = 0.0
     acc_t = 0.0
+    acc_d = 0.0
     p_as = None
     mass_seen = 0.0
     steps = 0
@@ -232,6 +172,9 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float,
         acc_p += p_i * cdf
         if want_time:
             acc_t += p_i * (i / lam_t) * cdf_next
+        elif want_density:
+            acc_d += p_i * w
+            w = u
         steps += 1
         if steps % 64 == 0 or cdf_next <= 1e-280:
             cdf_next = regularized_gamma_p(i + 1.0, x)
@@ -241,10 +184,14 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float,
             if bound <= tol * max(acc_p, _TINY):
                 if p_as is None:
                     p_as = acc_p
-                if not want_time:
+                if want_time:
+                    if t_cut * bound <= tol * max(acc_t, _TINY):
+                        return p_as, acc_t / acc_p if acc_p > 0.0 else 0.0
+                elif not want_density:
                     return p_as, 0.0
-                if t_cut * bound <= tol * max(acc_t, _TINY):
-                    return p_as, acc_t / acc_p if acc_p > 0.0 else 0.0
+                elif i + 1 > x and (
+                        w * (i + 1) / (i + 1 - x) <= tol * max(acc_d, _TINY)):
+                    return p_as, lam_t * acc_d
             if steps >= _MIXTURE_CAP:
                 raise ConvergenceError(
                     f"Erlang-mixture series did not converge within "
@@ -269,7 +216,8 @@ def _success_moments(spec: AttackSpec, tol: float,
     _check_tol(tol)
     if spec.infinite_cut:
         return p_dsa(spec), expected_success_time_inf(spec) if want_time else 0.0
-    p_as, e_tas = _mixture_moments(spec, spec.t_cut, tol, want_time,
+    p_as, e_tas = _mixture_moments(spec, spec.t_cut, tol,
+                                   "time" if want_time else "p",
                                    _state_mass_iter(spec), p_dsa(spec))
     return min(p_as, 1.0), e_tas
 
@@ -353,20 +301,20 @@ def sampling_grid(spec: AttackSpec, times: list[float],
     """(t, density, cdf) rows for export, cdf being the success probability
     with the cut moved to t (the continuous part's distribution function).
 
-    The state masses are walked once for the whole grid: each time's pass
-    replays them, so every cdf equals attack_success_prob with t_cut = t,
-    bit for bit. Every time is checked before any pass runs.
+    The state masses are generated once for the whole grid and kept (tee)
+    for the later times' passes; each pass gives its time's density and
+    cdf, the cdf equal to attack_success_prob with t_cut = t, bit for bit.
+    Every time is checked before any pass runs.
     """
     _check_tol(tol)
     for t in times:
         if not 0.0 <= t < math.inf:
-            raise DomainError(f"grid times must be finite and nonnegative, got {t}")
+            raise DomainError(f"times must be finite and nonnegative, got {t}")
     total_mass = p_dsa(spec)
-    states = _replayed(_state_mass_iter(spec))
+    passes = itertools.tee(_state_mass_iter(spec), len(times))
     rows = []
-    for t in times:
-        dens = dsa_time_density(spec, t, tol)
-        cdf = 0.0 if t == 0.0 else min(_mixture_moments(
-            spec, t, tol, False, states(), total_mass)[0], 1.0)
-        rows.append((t, dens, cdf))
+    for t, states in zip(times, passes):
+        cdf, dens = (0.0, 0.0) if t == 0.0 else _mixture_moments(
+            spec, t, tol, "density", states, total_mass)
+        rows.append((t, dens, min(cdf, 1.0)))
     return rows

@@ -9,7 +9,13 @@ from scipy import integrate
 from doublespend import timing
 from doublespend.errors import DomainError, SingularityError, \
     UndefinedExpectationError
-from doublespend.specfun import erlang_cdf, erlang_pdf
+from doublespend.specfun import (
+    HypergeomParams,
+    erlang_cdf,
+    erlang_pdf,
+    log_hypergeom_pfq,
+    regularized_gamma_p,
+)
 from doublespend.timing import (
     DefectiveTimeDistribution,
     attack_success_prob,
@@ -33,6 +39,92 @@ def mixture_density(spec, t, terms=1600):
     )
 
 
+def closed_form_density(spec, t, tol=1e-12):
+    """The paper's closed-form density of the achieving time at t > 0.
+
+    Sum of two blocks mirroring the two path families of p_dsa_at_state,
+    with x = p_a * p_h * (lambda_t * t)^2:
+
+    - overtake-after-confirmation: p_a * lambda_t * e^(-lambda_t t)
+      * x^n_bc / (2 n_bc)! * sum_j binom(j-1, n_bc-1) 2F3(a_j; b_j; x),
+      where for j = n_bc..2*n_bc
+        a_j = (n_bc + 1 - j/2, n_bc + 1/2 - j/2)
+        b_j = (2*n_bc + 2 - j, n_bc + 1, n_bc + 1/2);
+    - confirmation-last: (p_h lambda_t t)^n_bc / (t (n_bc-1)!)
+      * e^(-lambda_t t) * (e^(p_a lambda_t t) - sum_{k<=n_bc} (p_a lambda_t t)^k / k!),
+      evaluated as e^(-lambda_h t) * P(n_bc+1, p_a lambda_t t) via the
+      regularized lower incomplete gamma, which removes both the
+      large-argument overflow and the small-argument cancellation of the
+      raw form.
+
+    Everything combines in log space; the hypergeometric factors use scaled
+    accumulation, so large t cannot overflow before the e^(-lambda_t t)
+    prefactor cancels the growth. Its pFq series do not converge within
+    their term cap for lambda_t * t beyond about 3e5.
+    """
+    n_bc = spec.n_bc
+    lam_t = spec.lambda_t
+    z = lam_t * t
+    x = spec.p_a * spec.p_h * z * z
+    log_pref = (
+        math.log(spec.p_a)
+        + math.log(lam_t)
+        - z
+        + n_bc * math.log(x)
+        - math.lgamma(2 * n_bc + 1)
+    )
+    term1 = 0.0
+    for j in range(n_bc, 2 * n_bc + 1):
+        params = HypergeomParams(
+            a=(n_bc + 1.0 - j / 2.0, n_bc + 0.5 - j / 2.0),
+            b=(2.0 * n_bc + 2.0 - j, n_bc + 1.0, n_bc + 0.5),
+        )
+        log_f = log_hypergeom_pfq(params, x, tol)
+        log_term = log_pref + math.log(math.comb(j - 1, n_bc - 1)) + log_f
+        if log_term > -745.0:
+            term1 += math.exp(log_term)
+
+    gamma_factor = regularized_gamma_p(n_bc + 1.0, spec.p_a * z)
+    term2 = 0.0
+    if gamma_factor > 0.0:
+        log_term2 = (
+            n_bc * math.log(spec.p_h * z)
+            - math.log(t)
+            - math.lgamma(n_bc)
+            - spec.lambda_h * t
+            + math.log(gamma_factor)
+        )
+        if log_term2 > -745.0:
+            term2 = math.exp(log_term2)
+    return term1 + term2
+
+
+def test_density_matches_closed_form():
+    # the criterion-6 times
+    spec = AttackSpec(t_cut=INFINITE, **BCH)
+    for k in range(1, 21):
+        t = 1500.0 * k
+        assert dsa_time_density(spec, t) == pytest.approx(
+            closed_form_density(spec, t), rel=1e-11
+        )
+
+
+@pytest.mark.parametrize("p_a, n_bc", [(0.3, 1), (0.6, 3), (0.45, 12)])
+def test_density_matches_closed_form_on_grids(p_a, n_bc):
+    spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE, lambda_h=1 / 600)
+    times = [600.0 * n_bc * k / 5 for k in range(1, 51)]
+    for t, density, _ in sampling_grid(spec, times):
+        assert density == pytest.approx(
+            closed_form_density(spec, t), rel=1e-11, abs=1e-300
+        )
+
+
+def test_density_at_large_times():
+    # lambda_t * t = 7.7e5: the closed form's pFq series give up here
+    spec = AttackSpec(p_a=0.35, n_bc=5, t_cut=INFINITE)
+    assert 0.0 <= dsa_time_density(spec, 5e5) <= 1e-300
+
+
 def test_density_matches_mixture_series():
     spec = AttackSpec(t_cut=12000.0, **BCH)
     for t in (400.0, 1800.0, 5200.0, 12000.0, 30000.0):
@@ -52,8 +144,9 @@ def test_density_matches_mixture_series_small_depth():
 def test_density_edges():
     spec = AttackSpec(t_cut=12000.0, **BCH)
     assert dsa_time_density(spec, 0.0) == 0.0
-    with pytest.raises(DomainError):
-        dsa_time_density(spec, -1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            dsa_time_density(spec, bad)
 
 
 def test_density_integrates_to_success_prob():
@@ -215,7 +308,7 @@ def test_one_state_walk_per_grid(spec, monkeypatch):
 def test_sampling_grid_validation(bad, monkeypatch):
     spec = AttackSpec(t_cut=12000.0, **BCH)
     walks = _call_counter(monkeypatch, "_state_mass_iter")
-    with pytest.raises(DomainError, match="finite and nonnegative"):
+    with pytest.raises(DomainError, match="times must be finite and nonnegative"):
         sampling_grid(spec, [100.0, bad])
     assert walks == []  # every time is checked before any pass
 
