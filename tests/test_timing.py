@@ -99,24 +99,17 @@ def closed_form_density(spec, t, tol=1e-12):
     return term1 + term2
 
 
-def test_density_matches_closed_form():
-    # the criterion-6 times
-    spec = AttackSpec(t_cut=INFINITE, **BCH)
-    for k in range(1, 21):
-        t = 1500.0 * k
-        assert dsa_time_density(spec, t) == pytest.approx(
-            closed_form_density(spec, t), rel=1e-11
-        )
-
-
-@pytest.mark.parametrize("p_a, n_bc", [(0.3, 1), (0.6, 3), (0.45, 12)])
-def test_density_matches_closed_form_on_grids(p_a, n_bc):
+@pytest.mark.parametrize("p_a, n_bc, times", [
+    (0.35, 5, [1500.0 * k for k in range(1, 21)]),  # the criterion-6 times
+    (0.3, 1, [120.0 * k for k in range(1, 51)]),
+    (0.6, 3, [360.0 * k for k in range(1, 51)]),
+    (0.45, 12, [1440.0 * k for k in range(1, 51)]),
+])
+def test_density_matches_closed_form(p_a, n_bc, times):
     spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE, lambda_h=1 / 600)
-    times = [600.0 * n_bc * k / 5 for k in range(1, 51)]
     for t, density, _ in sampling_grid(spec, times):
-        assert density == pytest.approx(
-            closed_form_density(spec, t), rel=1e-11, abs=1e-300
-        )
+        assert density == dsa_time_density(spec, t)
+        assert density == pytest.approx(closed_form_density(spec, t), rel=1e-11)
 
 
 def test_density_at_large_times():
