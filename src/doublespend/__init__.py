@@ -86,7 +86,6 @@ from .walk import (
     p_dsa,
     p_dsa_at_state,
     premine_success_prob,
-    rosenfeld_p_dsa,
 )
 
 __version__ = "0.1.0"
@@ -145,7 +144,6 @@ __all__ = [
     "resolve_gamma",
     "ResourceTable",
     "reward",
-    "rosenfeld_p_dsa",
     "sampling_grid",
     "simulate_one",
     "SimulationSummary",

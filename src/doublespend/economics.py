@@ -122,7 +122,7 @@ def _require_linear(model: EconomicModel, need_reward: bool) -> None:
 
 def _fails_forever(spec: AttackSpec) -> bool:
     """No deadline and p_a < 1/2: an attempt may fail and then mine forever,
-    at unbounded cost. Decided on the spec: p_dsa's 1 - sum cancels at depth."""
+    at unbounded cost. Decided on the spec: p_dsa rounds to 1 just below 1/2."""
     return spec.infinite_cut and spec.p_a < 0.5
 
 

@@ -9,14 +9,17 @@ One runtime route evaluates it: the Erlang-mixture series, per-state masses
 p_i times the Erlang stage laws of the merged arrival process. It gives the
 success probability (the distribution function at the cut), the expected
 success time and the density, each with a certified truncation tail.
-sampling_grid walks the state masses once for a whole grid of times. The
-paper's closed-form density (a hypergeometric block plus an
-incomplete-gamma block) is kept in the tests as an oracle for this series.
+sampling_grid walks the state masses once for a whole grid of times. With
+no deadline the success probability and mean come from the confirmation-race
+sum of walk._race instead. The paper's closed-form density (a hypergeometric
+block plus an incomplete-gamma block) is kept in the tests as an oracle for
+this series.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,12 +30,14 @@ from .errors import (
     UndefinedExpectationError,
 )
 from .specfun import regularized_gamma_p
-from .walk import AttackSpec, p_dsa
+from .walk import AttackSpec, _race, p_dsa
 
 _MIXTURE_CAP = 2_000_000
 _TINY = 1e-300
 # largest n_bc whose binomial weights C(j-1, n_bc-1), j <= 2*n_bc, fit in a float
 _MAX_FLOAT_NBC = 515
+_LN2 = math.log(2.0)
+_LN_MIN_NORMAL = math.log(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -66,16 +71,6 @@ def dsa_time_density(spec: AttackSpec, t: float, tol: float = 1e-12) -> float:
     return sampling_grid(spec, [t], tol)[0][1]
 
 
-def _float_depth(spec: AttackSpec) -> int:
-    """spec.n_bc, refused when the float recursions below would overflow."""
-    if spec.n_bc > _MAX_FLOAT_NBC:
-        raise DomainError(
-            f"n_bc = {spec.n_bc} exceeds {_MAX_FLOAT_NBC}, the largest "
-            f"confirmation count whose binomial weights fit in a float"
-        )
-    return spec.n_bc
-
-
 def _state_mass_iter(spec: AttackSpec):
     """Yield p_i for i = 2*n_bc + 1, 2*n_bc + 2, ... without big integers.
 
@@ -84,24 +79,33 @@ def _state_mass_iter(spec: AttackSpec):
     p_a*p_h per odd state, the confirmation-last lane by i/(i-n_bc+1) * p_a
     per state. Relative drift grows like (state count) * eps, far inside the
     certified-series budget; only the series summation uses this, the public
-    p_dsa_at_state keeps exact integer coefficients.
+    p_dsa_at_state keeps exact integer coefficients. Where the lanes' common
+    start exp((n_bc+1) ln p_a + n_bc ln p_h) is below the normal floats,
+    they run 2^s times larger, near e^-350, and their sum is scaled back
+    exactly by ldexp, so the ballot family keeps its precision at depth.
     """
-    n_bc = _float_depth(spec)
+    n_bc = spec.n_bc
+    if n_bc > _MAX_FLOAT_NBC:
+        raise DomainError(
+            f"n_bc = {n_bc} exceeds {_MAX_FLOAT_NBC}, the largest "
+            f"confirmation count whose binomial weights fit in a float"
+        )
     pa, ph = spec.p_a, spec.p_h
     paph = pa * ph
     binoms = [float(math.comb(j - 1, n_bc - 1)) for j in range(n_bc, 2 * n_bc + 1)]
     ms = [2 * n_bc - j for j in range(n_bc, 2 * n_bc + 1)]
     ln_pa, ln_ph = math.log(pa), math.log(ph)
     lane0 = (n_bc + 1) * ln_pa + n_bc * ln_ph
-    lanes = [math.exp(lane0) if lane0 > -745.0 else 0.0] * len(binoms)
-    start2 = math.log(math.comb(2 * n_bc, n_bc - 1)) + n_bc * ln_ph + (n_bc + 1) * ln_pa
-    t2 = math.exp(start2) if start2 > -745.0 else 0.0
+    s = 0 if lane0 >= _LN_MIN_NORMAL else math.ceil((-lane0 - 350.0) / _LN2)
+    lanes = [math.exp(lane0 + s * _LN2)] * len(binoms)
+    t2 = math.exp(math.log(math.comb(2 * n_bc, n_bc - 1))
+                  + n_bc * ln_ph + (n_bc + 1) * ln_pa)
     i = 2 * n_bc + 1
     n = 0
     while True:
         p_i = t2
         if (i - 2 * n_bc) % 2 == 1:
-            p_i += sum(b * lane for b, lane in zip(binoms, lanes))
+            p_i += math.ldexp(sum(b * lane for b, lane in zip(binoms, lanes)), -s)
             for idx, m in enumerate(ms):
                 lanes[idx] *= (
                     (2 * n + m + 1) * (2 * n + m + 2)
@@ -215,18 +219,30 @@ def _success_moments(spec: AttackSpec, tol: float,
     """
     _check_tol(tol)
     if spec.infinite_cut:
-        return p_dsa(spec), expected_success_time_inf(spec) if want_time else 0.0
+        return _unbounded_moments(spec, want_time)
     p_as, e_tas = _mixture_moments(spec, spec.t_cut, tol,
                                    "time" if want_time else "p",
                                    _state_mass_iter(spec), p_dsa(spec))
     return min(p_as, 1.0), e_tas
 
 
+def _unbounded_moments(spec: AttackSpec, want_time: bool) -> tuple[float, float]:
+    """(p_dsa, e_tas) with no deadline from one confirmation-race pass."""
+    total, arrivals = _race(spec)
+    if not want_time:
+        return total, 0.0
+    if spec.p_a == 0.5:
+        raise SingularityError(
+            "the conditional mean success time diverges at p_a = 1/2; "
+            "use a finite cut-time or the Monte Carlo estimator"
+        )
+    return total, arrivals / spec.lambda_t
+
+
 def _conditional_moments(spec: AttackSpec, tol: float) -> tuple[float, float]:
     """_success_moments for callers that report e_tas: refuses a finite-cut
-    pair whose conditional mean is undefined. With no deadline the closed
-    form stands as it is (p_dsa > 0, though its rounding can read 0 or
-    less at depth)."""
+    pair whose conditional mean is undefined. With no deadline the mean is
+    always defined (p_dsa > 0, though it can underflow to 0 at depth)."""
     p_as, e_tas = _success_moments(spec, tol)
     if p_as <= 0.0 and not spec.infinite_cut:
         raise UndefinedExpectationError(
@@ -252,48 +268,21 @@ def expected_success_time(spec: AttackSpec, tol: float = 1e-12) -> float:
     Finite cut: the mixture numerator uses the exact moment identity
     integral(0..T) s * erlang_pdf(i, s) ds = (i / lambda_t) *
     ErlangCDF(i+1, T), divided by the success probability. Always below
-    t_cut. Infinite cut: the closed form of expected_success_time_inf.
+    t_cut. Infinite cut: expected_success_time_inf.
     """
     return _conditional_moments(spec, tol)[1]
 
 
 def expected_success_time_inf(spec: AttackSpec) -> float:
-    """Mean achieving time with no deadline, conditioned on eventual success.
-
-    Closed form via generating-function derivatives of the per-state masses:
-
-      (sum_j binom(j-1, n_bc-1) * Z_j + n_bc / p_h) / (lambda_t * p_dsa)
-
-    with, writing p_max/p_min for the larger/smaller of p_a, p_h,
-
-      Z_j = p_a * p_min^n_bc * p_max^(j - n_bc - 1)
-            * (2*n_bc - 2*j*p_min + 1) / (p_max - p_min)
-            - j * p_a^(j - n_bc) * p_h^n_bc.
+    """Mean achieving time with no deadline, conditioned on eventual success:
+    the mean arrival count of the confirmation race (see walk._race) over
+    lambda_t. Defined at every depth, also where p_dsa underflows to 0.
 
     Singular at p_a = 1/2: the symmetric walk overtakes with probability one
     but only after a time of infinite mean, so evaluation is refused and
     callers are pointed to a finite cut or the simulation oracle.
     """
-    if spec.p_a == 0.5:
-        raise SingularityError(
-            "the conditional mean success time diverges at p_a = 1/2; "
-            "use a finite cut-time or the Monte Carlo estimator"
-        )
-    n_bc = _float_depth(spec)
-    pa, ph = spec.p_a, spec.p_h
-    p_big, p_small = spec.p_max, spec.p_min
-    parts = [n_bc / ph]
-    for j in range(n_bc, 2 * n_bc + 1):
-        z_j = (
-            pa
-            * p_small ** n_bc
-            * p_big ** (j - n_bc - 1)
-            * (2 * n_bc - 2 * j * p_small + 1)
-            / (p_big - p_small)
-            - j * pa ** (j - n_bc) * ph ** n_bc
-        )
-        parts.append(math.comb(j - 1, n_bc - 1) * z_j)
-    return math.fsum(parts) / (spec.lambda_t * p_dsa(spec))
+    return _unbounded_moments(spec, want_time=True)[1]
 
 
 def sampling_grid(spec: AttackSpec, times: list[float],

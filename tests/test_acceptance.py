@@ -35,8 +35,8 @@ from doublespend import (
     premine_comparison,
     premine_success_prob,
     required_value,
-    rosenfeld_p_dsa,
 )
+from race_oracles import exact_p_dsa, rel_error
 
 LAMBDA_H = 1 / 600
 BCH_CFG = NetworkConfig(name="bitcoincash", beta_per_block=0.44,
@@ -178,7 +178,7 @@ def test_criterion_7_cross_checks():
     for n_bc in range(1, 10):
         for p_a in shares:
             spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE)
-            assert abs(p_dsa(spec) - rosenfeld_p_dsa(spec)) <= 1e-10, \
+            assert rel_error(p_dsa(spec), exact_p_dsa(p_a, n_bc)) <= 1e-12, \
                 (p_a, n_bc)
     for p_a, n_bc in [(0.35, 5), (0.2, 3), (0.65, 1), (0.4, 2)]:
         spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE,

@@ -72,7 +72,8 @@ class TestSmoke:
     @pytest.mark.parametrize("cmd", [
         ["creq", "--gamma", "0.422", "--beta", "0.44"], ["case-study"]])
     def test_unbounded_subhalf_at_depth(self, cmd, bch_config, capsys):
-        # p_dsa rounds below 0 at (0.1, 100); the requirement is still infinite
+        # an unbounded attack with p_a < 1/2 may fail and mine forever, so
+        # the requirement is infinite however small p_dsa is
         if cmd[0] == "case-study":
             cmd = cmd + ["--config", bch_config]
         assert run(cmd + ["--pa", "0.1", "--nbc", "100", "--cut-mult", "inf",
@@ -185,7 +186,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["prob", "--pa", "0.35", "--nbc", "530", "--cut-mult", "4"],
         ["expect-time", "--pa", "0.35", "--nbc", "530", "--cut-mult", "4"],
-        ["expect-time", "--pa", "0.35", "--nbc", "530", "--cut-mult", "inf"],
         ["pdf", "--pa", "0.35", "--nbc", "530", "--points", "2"],
         ["table", "--nbc", "530", "--pa", "0.35", "--cut-mult", "4"],
     ], ids=lambda argv: argv[0] + " " + argv[-1])
@@ -193,6 +193,14 @@ class TestExitCodes:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: n_bc = 530 exceeds 515")
+
+    @pytest.mark.parametrize("command", ["prob", "expect-time"])
+    def test_unbounded_beyond_float_limit(self, command, capsys):
+        # the unbounded quantities are positive-term sums with no depth cap
+        assert run([command, "--pa", "0.4", "--nbc", "1000", "--cut-mult", "inf",
+                    "--format", "json"]) == 0
+        _, result = _json_out(capsys)
+        assert 0.0 < result["p_as"] < 1.0
 
     @pytest.mark.parametrize("command", ["prob", "expect-time", "pdf"])
     @pytest.mark.parametrize("tol", ["nan", "inf"])

@@ -156,8 +156,8 @@ def test_unbounded_subhalf_attack_requires_infinite_value():
 
 @pytest.mark.parametrize("n_bc", [100, 530])
 def test_unbounded_subhalf_attack_does_not_read_p_dsa(n_bc):
-    # p_dsa's 1 - sum cancels below 0 at (0.1, 100), and the mean success
-    # time stops at n_bc 515; neither decides an attack that never gives up
+    # p_dsa is 6e-47 at (0.1, 100) and 4e-238 at 530; an attack that never
+    # gives up costs inf however small it is, and reads no mean success time
     spec = AttackSpec(p_a=0.1, n_bc=n_bc, t_cut=INFINITE)
     model = EconomicModel(gamma=1.0, beta=1.04, value=5.0)
     assert required_value(model, spec) is INFINITE_REQUIREMENT

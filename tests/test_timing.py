@@ -25,7 +25,9 @@ from doublespend.timing import (
     expected_success_time_inf,
     sampling_grid,
 )
-from doublespend.walk import INFINITE, AttackSpec, p_dsa, p_dsa_at_state
+from doublespend.walk import INFINITE, AttackSpec, p_dsa, p_dsa_at_state, \
+    premine_success_prob
+from race_oracles import exact_mean_arrivals, exact_p_dsa, rel_error
 
 BCH = dict(p_a=0.35, n_bc=5, lambda_h=1 / 600)
 
@@ -231,15 +233,51 @@ def test_expected_success_time_singularity_at_half():
         expected_success_time_inf(spec)
 
 
+@pytest.mark.parametrize("p_a,n_bc", [
+    (0.05, 1), (0.35, 5), (0.65, 1), (0.3, 60), (0.35, 400), (0.1, 500),
+    (0.05, 500), (0.49, 1000), (0.51, 1000), (0.55, 1000),
+])
+def test_unbounded_mean_matches_exact_closed_form(p_a, n_bc):
+    # the generating-function form with its Z_j in exact rationals; in floats
+    # each Z_j subtracts, and the mean read -0.476 at (0.35, 400)
+    spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE, lambda_h=1 / 600)
+    arrivals = expected_success_time_inf(spec) * spec.lambda_t
+    assert rel_error(arrivals, exact_mean_arrivals(p_a, n_bc)) <= 1e-12
+
+
+@given(p_a=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+       n_bc=st.integers(1, 1000))
+@settings(max_examples=60, deadline=None)
+def test_unbounded_race_bounds(p_a, n_bc):
+    spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE)
+    p = p_dsa(spec)
+    assert 0.0 <= p <= 1.0
+    # premine needs a lead of n_bc + 1 from the start, a subset of the
+    # race's successes; the slack is the 1e-12 accuracy both are computed to
+    assert p >= premine_success_prob(spec) * (1.0 - 1e-12)
+    # lambda_t * E_TAS >= 2 n_bc + 1: no success before that many arrivals
+    assert expected_success_time_inf(spec) >= (2 * n_bc + 1) / spec.lambda_t
+
+
+def test_unbounded_mean_where_p_dsa_underflows():
+    spec = AttackSpec(p_a=0.05, n_bc=500, t_cut=INFINITE)
+    assert p_dsa(spec) == 0.0
+    e_tas = expected_success_time_inf(spec)
+    # finite and exact (see above) although the mean divides by p_dsa
+    assert math.isfinite(e_tas)
+    assert expected_success_time(spec) == e_tas
+
+
 def test_float_depth_limit():
-    # C(2 n_bc - 1, n_bc - 1) first overflows a float at n_bc = 516
+    # C(2 n_bc - 1, n_bc - 1) first overflows a float at n_bc = 516; only the
+    # finite-cut state walk uses those weights
     assert math.isfinite(float(math.comb(2 * 515 - 1, 514)))
     with pytest.raises(OverflowError):
         float(math.comb(2 * 516 - 1, 515))
-    deepest = AttackSpec(p_a=0.35, n_bc=515, t_cut=INFINITE)
-    assert math.isfinite(expected_success_time_inf(deepest))
-    with pytest.raises(DomainError, match="515"):
-        expected_success_time_inf(AttackSpec(p_a=0.35, n_bc=516, t_cut=INFINITE))
+    for n_bc in (515, 516, 1000):
+        spec = AttackSpec(p_a=0.35, n_bc=n_bc, t_cut=INFINITE)
+        e_tas = expected_success_time_inf(spec)
+        assert math.isfinite(e_tas) and e_tas >= (2 * n_bc + 1) / spec.lambda_t
     with pytest.raises(DomainError, match="515"):
         attack_success_prob(AttackSpec(p_a=0.35, n_bc=516, t_cut=2064.0))
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doublespend.errors import ConvergenceError, DomainError
+from doublespend.errors import DomainError
 from doublespend.walk import (
     INFINITE,
     AttackSpec,
@@ -14,8 +14,8 @@ from doublespend.walk import (
     p_dsa,
     p_dsa_at_state,
     premine_success_prob,
-    rosenfeld_p_dsa,
 )
+from race_oracles import exact_p_dsa, rel_error
 
 
 def lattice_path_count(n, m):
@@ -67,8 +67,6 @@ class TestAttackSpec:
         assert spec.p_h == pytest.approx(0.65)
         assert spec.lambda_a == pytest.approx((0.35 / 0.65) / 600)
         assert spec.lambda_t == pytest.approx(spec.lambda_a + 1 / 600)
-        assert spec.p_max == 0.65
-        assert spec.p_min == 0.35
         assert not spec.infinite_cut
 
     def test_infinite_cut_sentinel(self):
@@ -196,26 +194,22 @@ def test_p_dsa_monotone_in_p_a(n_bc, idx):
     assert p_dsa(spec_lo) < p_dsa(spec_hi)
 
 
-def test_rosenfeld_agrees_with_closed_form():
-    for p_a in (0.05, 0.2, 0.35, 0.45, 0.49):
-        for n_bc in (1, 2, 5, 9):
-            spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE)
-            assert rosenfeld_p_dsa(spec) == pytest.approx(
-                p_dsa(spec), abs=1e-12
-            )
+@pytest.mark.parametrize("p_a,n_bc", [
+    (0.05, 1), (0.2, 3), (0.35, 5), (0.45, 9), (0.49, 2), (0.3, 60),
+    (0.1, 500), (0.35, 500), (0.45, 200), (0.49, 1000),
+])
+def test_p_dsa_matches_exact_closed_form(p_a, n_bc):
+    # the paper's 1 - sum form in exact rationals; in floats it cancels at
+    # depth (2.3e210 times too large at (0.1, 500))
+    spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE)
+    assert rel_error(p_dsa(spec), exact_p_dsa(p_a, n_bc)) <= 1e-12
 
 
-def test_rosenfeld_superior_attacker():
-    spec = AttackSpec(p_a=0.65, n_bc=3, t_cut=INFINITE)
-    assert rosenfeld_p_dsa(spec) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_rosenfeld_convergence_error_carries_partial():
-    spec = AttackSpec(p_a=0.49, n_bc=9, t_cut=INFINITE)
-    with pytest.raises(ConvergenceError) as exc_info:
-        rosenfeld_p_dsa(spec, tol=1e-15, max_terms=3)
-    partial = exc_info.value.partial
-    assert 0.0 < partial < 1.0
+def test_p_dsa_underflows_to_zero():
+    # the true value is about 1e-363, below the smallest float
+    spec = AttackSpec(p_a=0.05, n_bc=500, t_cut=INFINITE)
+    assert exact_p_dsa(0.05, 500) < Fraction(10) ** -360
+    assert p_dsa(spec) == 0.0
 
 
 def test_premine_anchor():
