@@ -262,8 +262,8 @@ def _race(spec: AttackSpec) -> tuple[float, float]:
     head = v * 2 * n / (n + 1)  # v_(n+1) / p_h
     total += head * s0
     late = head * pa * (2 * n + 1) / ((n + 2) * ph) * s1
-    return min(math.exp(log_vm + math.log(total)), 1.0), \
-        2 * n + 1 + (2.0 * pa / gap * extra + late) / total
+    p = min(math.exp(log_vm + math.log(total)), 1.0)
+    return p, 2 * n + 1 + (2.0 * pa / gap * extra + late) / total
 
 
 def p_dsa(spec: AttackSpec) -> float:

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -280,6 +281,16 @@ def test_float_depth_limit():
         assert math.isfinite(e_tas) and e_tas >= (2 * n_bc + 1) / spec.lambda_t
     with pytest.raises(DomainError, match="515"):
         attack_success_prob(AttackSpec(p_a=0.35, n_bc=516, t_cut=2064.0))
+
+
+@pytest.mark.parametrize("p_a", [0.1, 0.35])
+def test_state_masses_at_depth(p_a):
+    # the ballot lanes start below the normal floats at n_bc 500; unscaled
+    # they lost the overtake family and p_as at c 4 read 10.4x too large
+    spec = AttackSpec(p_a=p_a, n_bc=500, t_cut=2000.0)
+    masses = itertools.islice(timing._state_mass_iter(spec), 100)
+    for i, mass in enumerate(masses, start=2 * spec.n_bc + 1):
+        assert math.isclose(mass, p_dsa_at_state(spec, i), rel_tol=1e-12), i
 
 
 def test_expected_success_time_unbounded_below_bounded_cut():
