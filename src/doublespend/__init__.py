@@ -57,23 +57,9 @@ from .simulate import (
     estimate_profit,
     simulate_one,
 )
-from .specfun import (
-    HypergeomParams,
-    ballot_gen_fn,
-    ballot_gen_fn_deriv,
-    binom_gen_fn,
-    binom_gen_fn_deriv,
-    erlang_cdf,
-    erlang_pdf,
-    hypergeom_pfq,
-    regularized_gamma_p,
-    regularized_gamma_q,
-)
 from .timing import (
-    DefectiveTimeDistribution,
     attack_success_prob,
     dsa_time_density,
-    dsa_time_distribution,
     expected_success_time,
     expected_success_time_inf,
     sampling_grid,
@@ -81,7 +67,6 @@ from .timing import (
 from .walk import (
     INFINITE,
     AttackSpec,
-    WalkPath,
     ballot_number,
     p_dsa,
     p_dsa_at_state,
@@ -94,25 +79,17 @@ __all__ = [
     "__version__",
     "attack_success_prob",
     "AttackSpec",
-    "ballot_gen_fn",
-    "ballot_gen_fn_deriv",
     "ballot_number",
-    "binom_gen_fn",
-    "binom_gen_fn_deriv",
     "build_resource_table",
     "case_study",
     "ConfigError",
     "ConvergenceError",
     "CostGuardError",
-    "DefectiveTimeDistribution",
     "DomainError",
     "DoubleSpendError",
     "dsa_time_density",
-    "dsa_time_distribution",
     "EconomicModel",
     "enumerate_exact",
-    "erlang_cdf",
-    "erlang_pdf",
     "estimate",
     "estimate_profit",
     "expected_opex",
@@ -122,8 +99,6 @@ __all__ = [
     "format_full",
     "format_sig",
     "gamma_from_market",
-    "hypergeom_pfq",
-    "HypergeomParams",
     "INFINITE",
     "INFINITE_REQUIREMENT",
     "load_network_config",
@@ -133,8 +108,6 @@ __all__ = [
     "p_dsa_at_state",
     "premine_comparison",
     "premine_success_prob",
-    "regularized_gamma_p",
-    "regularized_gamma_q",
     "render_json",
     "render_record",
     "render_rows",
@@ -153,5 +126,4 @@ __all__ = [
     "TrialOutcome",
     "UndefinedExpectationError",
     "UnsupportedAnalyticError",
-    "WalkPath",
 ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -290,12 +291,25 @@ def premine_comparison(p_a: float, n_bc: int) -> dict[str, float]:
 
     The pre-mine route must assemble n_bc + 1 consecutive attacker blocks
     before any honest block; the attack proper may fall behind and recover,
-    so its probability is strictly larger for p_a < 1/2.
+    so its probability is strictly larger for p_a < 1/2. Where p_premine
+    is below the normal floats, dividing by it would lose digits or divide
+    by zero, so the ratio comes from logarithms instead.
     """
     spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE)
     p = p_dsa(spec)
     pre = premine_success_prob(spec)
-    return {"p_dsa": p, "p_premine": pre, "ratio": p / pre}
+    if p == 0.0:
+        raise DomainError(f"p_dsa underflows to 0 at p_a = {p_a}, n_bc = {n_bc}; "
+                          f"the ratio is undefined in floating point")
+    if pre >= sys.float_info.min:
+        ratio = p / pre
+    else:
+        try:
+            ratio = math.exp(math.log(p) - (n_bc + 1) * math.log(spec.p_a / spec.p_h))
+        except OverflowError:
+            raise DomainError(f"the ratio at p_a = {p_a}, n_bc = {n_bc} "
+                              f"exceeds the float range") from None
+    return {"p_dsa": p, "p_premine": pre, "ratio": ratio}
 
 
 # ---------------------------------------------------------------------------

@@ -461,8 +461,8 @@ def enumerate_exact(spec: AttackSpec, i_max: int) -> list[float]:
     Refuses i_max beyond 24: the implied path space doubles per state and
     this is a verification oracle, not a production path.
     """
-    if i_max < 1:
-        raise DomainError(f"i_max must be positive, got {i_max}")
+    if not isinstance(i_max, int) or isinstance(i_max, bool) or i_max < 1:
+        raise DomainError(f"i_max must be a positive integer, got {i_max!r}")
     if i_max > _ENUM_MAX_STATES:
         raise CostGuardError(
             f"exact enumeration is limited to {_ENUM_MAX_STATES} states, "

@@ -1,10 +1,12 @@
-"""Numerical kernels: incomplete gamma, Erlang laws, pFq series, generating
-functions of ballot numbers and binomial coefficients.
+"""Numerical kernels: the regularized incomplete gamma function, the Erlang
+density and the generalized hypergeometric series pFq.
 
-Only the functions the attack analysis needs, real arguments only. Exactness
-where cheap (integer coefficient arithmetic lives in `walk`), stability where
-needed (log-gamma for factorials beyond 20!, scaled accumulation for series
-whose terms overflow long before their weighted sum does).
+The Erlang-mixture series of `timing` runs on regularized_gamma_p; the
+Erlang density and the pFq series are the building blocks of the paper's
+closed-form density, which the tests keep as an oracle. Real arguments
+only. Stability where needed (log-gamma for factorials beyond 20!, scaled
+accumulation for series whose terms overflow long before their weighted sum
+does).
 """
 from __future__ import annotations
 
@@ -12,12 +14,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConvergenceError, DomainError, SingularityError
+from .errors import ConvergenceError, DomainError
 
 _IGAM_TOL = 1e-14          # internal tolerance of the incomplete-gamma split
 _IGAM_MAX_ITER = 10_000
 _PFQ_MAX_TERMS = 100_000
-_TINY = 1e-300
 
 
 # ---------------------------------------------------------------------------
@@ -81,21 +82,8 @@ def regularized_gamma_p(a: float, x: float) -> float:
     return 1.0 - _gamma_q_contfrac(a, x)
 
 
-def regularized_gamma_q(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if a <= 0.0:
-        raise DomainError(f"shape parameter must be positive, got {a}")
-    if x < 0.0:
-        raise DomainError(f"argument must be nonnegative, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_contfrac(a, x)
-
-
 # ---------------------------------------------------------------------------
-# Erlang distribution
+# Erlang density
 # ---------------------------------------------------------------------------
 
 def erlang_pdf(i: int, rate: float, t: float) -> float:
@@ -122,17 +110,6 @@ def erlang_pdf(i: int, rate: float, t: float) -> float:
         return math.exp(log_pdf)
     except OverflowError:  # cannot happen for a true density, defensive
         raise ConvergenceError("erlang pdf overflowed") from None
-
-
-def erlang_cdf(i: int, rate: float, t: float) -> float:
-    """P(Erlang(i, rate) <= t) = regularized lower incomplete gamma P(i, rate*t)."""
-    if i < 1:
-        raise DomainError(f"stage count must be a positive integer, got {i}")
-    if rate <= 0.0:
-        raise DomainError(f"rate must be positive, got {rate}")
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative, got {t}")
-    return regularized_gamma_p(float(i), rate * t)
 
 
 # ---------------------------------------------------------------------------
@@ -233,54 +210,3 @@ def log_hypergeom_pfq(params: HypergeomParams, x: float, tol: float = 1e-12) -> 
         raise DomainError("log evaluation requires positive parameters and x >= 0")
     mant, scale = _pfq_scaled(params.a, params.b, x, tol)
     return math.log(mant) + scale * math.log(2.0)
-
-
-# ---------------------------------------------------------------------------
-# generating functions of ballot numbers and binomial coefficients
-# ---------------------------------------------------------------------------
-
-def ballot_gen_fn(k: int, x: float) -> float:
-    """M_k(x) = (2 / (1 + sqrt(1 - 4x)))^(k+1) on 0 <= x <= 1/4.
-
-    Power series sum_n C(n, k) x^n of the ballot numbers with second index k.
-    """
-    if k < 0:
-        raise DomainError(f"index must be nonnegative, got {k}")
-    if not 0.0 <= x <= 0.25:
-        raise DomainError(f"argument must lie in [0, 1/4], got {x}")
-    return (2.0 / (1.0 + math.sqrt(1.0 - 4.0 * x))) ** (k + 1)
-
-
-def ballot_gen_fn_deriv(k: int, x: float) -> float:
-    """M'_k(x) = (k+1)/sqrt(1-4x) * (2/(1+sqrt(1-4x)))^(k+2), x < 1/4 strictly."""
-    if k < 0:
-        raise DomainError(f"index must be nonnegative, got {k}")
-    if not 0.0 <= x <= 0.25:
-        raise DomainError(f"argument must lie in [0, 1/4], got {x}")
-    if x == 0.25:
-        # the sqrt(1-4x) denominator vanishes: evenly matched attacker
-        raise SingularityError("derivative is singular at x = 1/4")
-    root = math.sqrt(1.0 - 4.0 * x)
-    return (k + 1) / root * (2.0 / (1.0 + root)) ** (k + 2)
-
-
-def binom_gen_fn(k: int, x: float) -> float:
-    """G_k(x) = x^k / (1-x)^(k+1) on 0 <= x < 1.
-
-    Power series sum_{i>=k} binom(i, k) x^i.
-    """
-    if k < 0:
-        raise DomainError(f"index must be nonnegative, got {k}")
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"argument must lie in [0, 1), got {x}")
-    return x ** k / (1.0 - x) ** (k + 1)
-
-
-def binom_gen_fn_deriv(k: int, x: float) -> float:
-    """G'_k(x) = (k x^(k-1) + x^k) / (1-x)^(k+2)."""
-    if k < 0:
-        raise DomainError(f"index must be nonnegative, got {k}")
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"argument must lie in [0, 1), got {x}")
-    lead = 0.0 if k == 0 else k * x ** (k - 1)   # k=0 kills the x^-1 monomial
-    return (lead + x ** k) / (1.0 - x) ** (k + 2)

@@ -1,9 +1,8 @@
 """The defective distribution of the attack-achieving time.
 
 The time to first achievement is continuous on (0, inf) with total mass
-p_dsa(spec) < 1 for an inferior attacker; the remaining mass is a point
-defect at infinity ("never succeeds"), carried as an explicit scalar and
-never as a density feature.
+p_dsa(spec) < 1 for an inferior attacker; the remaining mass 1 - p_dsa is
+a point defect at infinity ("never succeeds"), never a density feature.
 
 One runtime route evaluates it: the Erlang-mixture series, per-state masses
 p_i times the Erlang stage laws of the merged arrival process. It gives the
@@ -20,8 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
 
 from .errors import (
     ConvergenceError,
@@ -38,25 +35,6 @@ _TINY = 1e-300
 _MAX_FLOAT_NBC = 515
 _LN2 = math.log(2.0)
 _LN_MIN_NORMAL = math.log(sys.float_info.min)
-
-
-@dataclass(frozen=True)
-class DefectiveTimeDistribution:
-    """Continuous density of the achieving time plus the defect at infinity."""
-
-    spec: AttackSpec
-    defect_mass: float
-    density: Callable[[float], float]
-
-
-def dsa_time_distribution(spec: AttackSpec, tol: float = 1e-12) -> DefectiveTimeDistribution:
-    """Bundle the density with its defect mass 1 - p_dsa."""
-    defect = max(1.0 - p_dsa(spec), 0.0)
-    return DefectiveTimeDistribution(
-        spec=spec,
-        defect_mass=defect,
-        density=lambda t: dsa_time_density(spec, t, tol),
-    )
 
 
 def dsa_time_density(spec: AttackSpec, t: float, tol: float = 1e-12) -> float:
@@ -227,10 +205,11 @@ def _success_moments(spec: AttackSpec, tol: float,
 
 
 def _unbounded_moments(spec: AttackSpec, want_time: bool) -> tuple[float, float]:
-    """(p_dsa, e_tas) with no deadline from one confirmation-race pass."""
-    total, arrivals = _race(spec)
+    """(p_dsa, e_tas) with no deadline from one confirmation-race pass;
+    p_dsa alone skips the pass where it is 1."""
     if not want_time:
-        return total, 0.0
+        return p_dsa(spec), 0.0
+    total, arrivals = _race(spec)
     if spec.p_a == 0.5:
         raise SingularityError(
             "the conditional mean success time diverges at p_a = 1/2; "

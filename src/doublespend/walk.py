@@ -88,56 +88,6 @@ class AttackSpec:
         return self.t_cut is INFINITE
 
 
-@dataclass(frozen=True)
-class WalkPath:
-    """A realized finite prefix of the block-arrival walk.
-
-    steps: ordered (time_seconds, delta) pairs, delta = +1 for an honest
-    block and -1 for an attacker block, times strictly increasing.
-    """
-
-    steps: tuple[tuple[float, int], ...]
-
-    def __post_init__(self):
-        prev = 0.0
-        for idx, (t, d) in enumerate(self.steps):
-            if d not in (1, -1):
-                raise DomainError(f"step {idx}: delta must be +1 or -1, got {d!r}")
-            if t < 0.0 or (idx > 0 and t <= prev) or (idx == 0 and t <= 0.0):
-                raise DomainError(f"step {idx}: times must be strictly increasing and positive")
-            prev = t
-
-    def partial_sums(self) -> tuple[int, ...]:
-        """S_i after each step: honest minus attacker block count."""
-        out = []
-        s = 0
-        for _, d in self.steps:
-            s += d
-            out.append(s)
-        return tuple(out)
-
-    def block_counts(self) -> tuple[int, int]:
-        """(honest, attacker) totals over the whole prefix."""
-        ups = sum(1 for _, d in self.steps if d == 1)
-        return ups, len(self.steps) - ups
-
-    def first_achievement(self, n_bc: int) -> int | None:
-        """1-based index of the first state where the attack achieves, or None.
-
-        Achieving state: honest count >= n_bc and the walk is strictly
-        negative (attacker chain longer).
-        """
-        honest = 0
-        s = 0
-        for idx, (_, d) in enumerate(self.steps, start=1):
-            s += d
-            if d == 1:
-                honest += 1
-            if honest >= n_bc and s < 0:
-                return idx
-        return None
-
-
 def ballot_number(n: int, m: int) -> int:
     """Count of length-(2n+m) walks of +/-1 steps from 0 to m never going negative.
 
@@ -177,8 +127,8 @@ def p_dsa_at_state(spec: AttackSpec, i: int) -> float:
     Both terms are evaluated in log space with exact integer coefficients, so
     deep confirmation counts cannot underflow prematurely.
     """
-    if i < 1:
-        raise DomainError(f"state index must be >= 1, got {i}")
+    if not isinstance(i, int) or isinstance(i, bool) or i < 1:
+        raise DomainError(f"state index must be an integer >= 1, got {i!r}")
     n_bc = spec.n_bc
     if i <= 2 * n_bc:
         return 0.0
@@ -274,7 +224,7 @@ def p_dsa(spec: AttackSpec) -> float:
     relative at n_bc 1000 (the logarithm of its leading term rounds once);
     0.0 where the true value is below the float range.
     """
-    return _race(spec)[0]
+    return 1.0 if spec.p_a >= 0.5 else _race(spec)[0]
 
 
 def premine_success_prob(spec: AttackSpec) -> float:

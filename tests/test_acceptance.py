@@ -17,16 +17,10 @@ from doublespend import (
     EconomicModel,
     NetworkConfig,
     attack_success_prob,
-    ballot_gen_fn,
-    ballot_gen_fn_deriv,
-    binom_gen_fn,
-    binom_gen_fn_deriv,
     build_resource_table,
     case_study,
     dsa_time_density,
-    dsa_time_distribution,
     enumerate_exact,
-    erlang_pdf,
     estimate,
     expected_profit,
     expected_success_time_inf,
@@ -36,6 +30,7 @@ from doublespend import (
     premine_success_prob,
     required_value,
 )
+from doublespend.specfun import erlang_pdf
 from race_oracles import exact_p_dsa, rel_error
 
 LAMBDA_H = 1 / 600
@@ -156,10 +151,11 @@ def test_criterion_6_distribution():
     for k in range(1, 21):
         t = 1500.0 * k
         assert abs(dsa_time_density(spec, t) - mixture(t)) <= 1e-9, t
-    dist = dsa_time_distribution(spec)
-    mass, err = integrate.quad(dist.density, 0.0, 200000.0, limit=400)
+    mass, err = integrate.quad(lambda t: dsa_time_density(spec, t),
+                               0.0, 200000.0, limit=400)
     assert err < 1e-8
-    assert abs(mass + dist.defect_mass - 1.0) <= 1e-6
+    defect = 1.0 - p_dsa(spec)  # "never succeeds", the mass at infinity
+    assert abs(mass + defect - 1.0) <= 1e-6
     cuts = [3000.0 * k for k in range(1, 21)]
     probs = [
         attack_success_prob(
@@ -189,14 +185,6 @@ def test_criterion_7_cross_checks():
         ) / p_dsa(spec)
         closed = expected_success_time_inf(spec)
         assert abs(closed - series) <= 1e-8 * abs(series), (p_a, n_bc)
-    h = 1e-6
-    for gen, deriv in ((ballot_gen_fn, ballot_gen_fn_deriv),
-                       (binom_gen_fn, binom_gen_fn_deriv)):
-        for k in (1, 3, 5):
-            for x in (0.02, 0.1, 0.2):
-                fd = (gen(k, x + h) - gen(k, x - h)) / (2 * h)
-                exact = deriv(k, x)
-                assert abs(exact - fd) <= 1e-6 * abs(exact), (gen, k, x)
 
 
 @_criterion(8, "requirement growth and sign behavior")

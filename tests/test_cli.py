@@ -110,6 +110,16 @@ class TestSmoke:
         assert result["p_dsa"] == pytest.approx(0.2287, abs=5e-4)
         assert result["ratio"] > 1.0
 
+    @pytest.mark.parametrize("p_a, n_bc", [("0.05", "250"), ("0.05", "260"),
+                                           ("0.01", "200")])
+    def test_compare_premine_at_depth(self, p_a, n_bc, capsys):
+        # p_premine is subnormal or 0 here; the ratio stays finite
+        assert run(["compare-premine", "--pa", p_a, "--nbc", n_bc,
+                    "--format", "json"]) == 0
+        _, result = _json_out(capsys)
+        assert result["p_premine"] < 2.2250738585072014e-308
+        assert 1e100 < result["ratio"] < 1e200
+
     def test_simulate(self, capsys):
         assert run(["simulate", "--pa", "0.35", "--nbc", "2",
                     "--cut-mult", "4", "--trials", "300", "--seed", "9",
@@ -164,6 +174,10 @@ class TestExitCodes:
                     "--cut-mult", "4", "--trials", "10",
                     "--gamma", "0.422"]) == 2
         assert "together" in capsys.readouterr().err
+
+    def test_compare_premine_p_dsa_underflow(self, capsys):
+        assert run(["compare-premine", "--pa", "0.05", "--nbc", "500"]) == 2
+        assert "p_dsa underflows" in capsys.readouterr().err
 
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 2

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -29,6 +30,7 @@ from doublespend import (
     resolve_gamma,
     to_jsonable,
 )
+from race_oracles import exact_p_dsa, rel_error
 
 GOOD_CONF = """\
 # hashrate rental market snapshot
@@ -217,6 +219,29 @@ def test_premine_comparison_anchors():
     assert out["ratio"] == pytest.approx(out["p_dsa"] / out["p_premine"],
                                          rel=1e-15)
     assert out["ratio"] > 1.0
+
+
+@pytest.mark.parametrize("p_a, n_bc", [
+    (0.05, 100),   # p_premine normal: the plain quotient
+    (0.05, 250),   # p_premine subnormal, 1.077e-321
+    (0.05, 260),   # p_premine underflows to 0
+    (0.01, 200),
+    (0.1, 350),
+])
+def test_premine_ratio_at_depth(p_a, n_bc):
+    out = premine_comparison(p_a, n_bc)
+    p = Fraction(p_a)
+    exact = exact_p_dsa(p_a, n_bc) / (p / (1 - p)) ** (n_bc + 1)
+    assert rel_error(out["ratio"], exact) <= 1e-12
+
+
+@pytest.mark.parametrize("p_a, n_bc, why", [
+    (0.05, 500, "p_dsa underflows"),
+    (0.4, 2000, "exceeds the float range"),
+])
+def test_premine_ratio_beyond_floats(p_a, n_bc, why):
+    with pytest.raises(DomainError, match=why):
+        premine_comparison(p_a, n_bc)
 
 
 class TestFormatting:

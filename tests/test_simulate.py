@@ -319,8 +319,9 @@ def _brute_force_state_mass(p_a: Fraction, n_bc: int, i: int) -> Fraction:
 
 class TestEnumerateExact:
     def test_guard_rails(self):
-        with pytest.raises(DomainError):
-            enumerate_exact(SMALL, 0)
+        for i_max in (0, 2.5, 11.0, True):
+            with pytest.raises(DomainError):
+                enumerate_exact(SMALL, i_max)
         with pytest.raises(CostGuardError):
             enumerate_exact(SMALL, 25)
 

@@ -5,19 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from doublespend.errors import DomainError, SingularityError
+from doublespend.errors import DomainError
 from doublespend.specfun import (
     HypergeomParams,
-    ballot_gen_fn,
-    ballot_gen_fn_deriv,
-    binom_gen_fn,
-    binom_gen_fn_deriv,
-    erlang_cdf,
     erlang_pdf,
     hypergeom_pfq,
     log_hypergeom_pfq,
     regularized_gamma_p,
-    regularized_gamma_q,
 )
 from doublespend.walk import ballot_number
 
@@ -39,14 +33,8 @@ def test_regularized_gamma_p_oracle(a, x, expected):
     assert regularized_gamma_p(a, x) == pytest.approx(expected, rel=1e-13)
 
 
-@pytest.mark.parametrize("a,x,expected", GAMMA_P_ORACLE)
-def test_regularized_gamma_q_complement(a, x, expected):
-    assert regularized_gamma_q(a, x) == pytest.approx(1.0 - expected, rel=1e-12)
-
-
 def test_gamma_p_edges():
     assert regularized_gamma_p(3.0, 0.0) == 0.0
-    assert regularized_gamma_q(3.0, 0.0) == 1.0
     with pytest.raises(DomainError):
         regularized_gamma_p(0.0, 1.0)
     with pytest.raises(DomainError):
@@ -61,13 +49,6 @@ def test_gamma_p_matches_scipy(a, x):
     )
 
 
-@given(a=st.floats(0.5, 50), x=st.floats(1e-6, 200))
-@settings(max_examples=100, deadline=None)
-def test_gamma_p_plus_q_is_one(a, x):
-    assert regularized_gamma_p(a, x) + regularized_gamma_q(a, x) \
-        == pytest.approx(1.0, abs=1e-12)
-
-
 @pytest.mark.parametrize("i,rate,t", [
     (1, 0.01, 30.0),
     (3, 1 / 600, 1800.0),
@@ -75,9 +56,6 @@ def test_gamma_p_plus_q_is_one(a, x):
     (40, 2.0, 25.0),
 ])
 def test_erlang_matches_scipy(i, rate, t):
-    assert erlang_cdf(i, rate, t) == pytest.approx(
-        float(stats.erlang.cdf(t, i, scale=1 / rate)), rel=1e-11
-    )
     assert erlang_pdf(i, rate, t) == pytest.approx(
         float(stats.erlang.pdf(t, i, scale=1 / rate)), rel=1e-11
     )
@@ -87,16 +65,15 @@ def test_erlang_at_zero():
     # density of the i-th arrival at t=0: rate for i=1, zero beyond
     assert erlang_pdf(1, 2.0, 0.0) == 2.0
     assert erlang_pdf(2, 2.0, 0.0) == 0.0
-    assert erlang_cdf(5, 2.0, 0.0) == 0.0
 
 
 def test_erlang_validation():
     with pytest.raises(DomainError):
         erlang_pdf(0, 1.0, 1.0)
     with pytest.raises(DomainError):
-        erlang_cdf(2, -1.0, 1.0)
+        erlang_pdf(2, -1.0, 1.0)
     with pytest.raises(DomainError):
-        erlang_cdf(2, 1.0, -1.0)
+        erlang_pdf(2, 1.0, -1.0)
 
 
 def test_pfq_exponential():
@@ -172,60 +149,3 @@ def test_pfq_ballot_series_identity():
         for n in range(80)
     )
     assert hypergeom_pfq(p, x, tol=1e-14) == pytest.approx(series, rel=1e-12)
-
-
-def test_ballot_gen_fn_is_series_limit():
-    # sum_n ballot(n, k) x^n converges to (2 / (1 + sqrt(1-4x)))^(k+1)
-    for k in (0, 1, 4):
-        for x in (0.0, 0.1, 0.2, 0.24):
-            series = sum(ballot_number(n, k) * x ** n for n in range(400))
-            assert ballot_gen_fn(k, x) == pytest.approx(series, rel=1e-9)
-
-
-def test_ballot_gen_fn_deriv_matches_finite_difference():
-    h = 1e-7
-    for k in (1, 3):
-        for x in (0.05, 0.15, 0.22):
-            fd = (ballot_gen_fn(k, x + h) - ballot_gen_fn(k, x - h)) / (2 * h)
-            assert ballot_gen_fn_deriv(k, x) == pytest.approx(fd, rel=1e-6)
-
-
-def test_ballot_gen_fn_edge_of_domain():
-    assert ballot_gen_fn(2, 0.25) == pytest.approx(2.0 ** 3)
-    with pytest.raises(SingularityError):
-        ballot_gen_fn_deriv(2, 0.25)
-    with pytest.raises(DomainError):
-        ballot_gen_fn(2, 0.26)
-    with pytest.raises(DomainError):
-        ballot_gen_fn(2, -0.01)
-
-
-def test_binom_gen_fn_is_series_limit():
-    # x^k/(1-x)^(k+1) = sum_{m>=0} binom(k+m, m) x^(k+m)
-    for k in (0, 2, 5):
-        for x in (0.0, 0.3, 0.6):
-            series = sum(
-                math.comb(k + m, m) * x ** (k + m) for m in range(500)
-            )
-            assert binom_gen_fn(k, x) == pytest.approx(series, rel=1e-9)
-
-
-def test_binom_gen_fn_deriv_matches_finite_difference():
-    h = 1e-7
-    for k in (0, 1, 4):
-        for x in (0.1, 0.45, 0.8):
-            fd = (binom_gen_fn(k, x + h) - binom_gen_fn(k, x - h)) / (2 * h)
-            assert binom_gen_fn_deriv(k, x) == pytest.approx(fd, rel=1e-5)
-
-
-def test_binom_gen_fn_domain():
-    with pytest.raises(DomainError):
-        binom_gen_fn(2, 1.0)
-    with pytest.raises(DomainError):
-        binom_gen_fn_deriv(2, -0.1)
-
-
-@given(x=st.floats(0.0, 0.24), k=st.integers(0, 8))
-@settings(max_examples=100, deadline=None)
-def test_ballot_gen_fn_at_least_one(x, k):
-    assert ballot_gen_fn(k, x) >= 1.0

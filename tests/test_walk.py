@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doublespend import timing, walk
 from doublespend.errors import DomainError
+from doublespend.timing import attack_success_prob
 from doublespend.walk import (
     INFINITE,
     AttackSpec,
-    WalkPath,
     ballot_number,
     p_dsa,
     p_dsa_at_state,
@@ -98,30 +99,6 @@ class TestAttackSpec:
             AttackSpec(p_a=0.3, n_bc=3, t_cut=100.0, lambda_h=0.0)
 
 
-class TestWalkPath:
-    def test_partial_sums_and_counts(self):
-        # +1 is an honest block, -1 an attacker block, S = honest - attacker
-        path = WalkPath(steps=((1.0, +1), (2.5, -1), (3.0, -1), (4.0, -1)))
-        assert path.partial_sums() == (1, 0, -1, -2)
-        assert path.block_counts() == (1, 3)
-
-    def test_first_achievement(self):
-        # honest confirms at step 1; attacker pulls ahead at step 3
-        path = WalkPath(steps=((1.0, +1), (2.0, -1), (3.0, -1)))
-        assert path.first_achievement(1) == 3
-        assert path.first_achievement(2) is None
-
-    def test_times_must_increase(self):
-        with pytest.raises(DomainError):
-            WalkPath(steps=((1.0, +1), (1.0, -1)))
-        with pytest.raises(DomainError):
-            WalkPath(steps=((-1.0, +1),))
-
-    def test_steps_must_be_unit(self):
-        with pytest.raises(DomainError):
-            WalkPath(steps=((1.0, 2),))
-
-
 def test_p_dsa_printed_anchors():
     spec = AttackSpec(p_a=0.35, n_bc=5, t_cut=INFINITE)
     assert p_dsa(spec) == pytest.approx(0.2287, abs=5e-5)
@@ -133,6 +110,20 @@ def test_p_dsa_majority_attacker_certain():
     for p_a in (0.5, 0.6, 0.9):
         spec = AttackSpec(p_a=p_a, n_bc=4, t_cut=INFINITE)
         assert p_dsa(spec) == 1.0
+
+
+def test_p_dsa_majority_skips_race_pass(monkeypatch):
+    # the answer is known to be 1, so no O(n_bc) race pass may run
+    def refuse(spec):
+        raise AssertionError("race pass ran for a majority attacker")
+
+    monkeypatch.setattr(walk, "_race", refuse)
+    monkeypatch.setattr(timing, "_race", refuse)
+    spec = AttackSpec(p_a=0.6, n_bc=40, t_cut=INFINITE)
+    assert p_dsa(spec) == 1.0
+    assert attack_success_prob(spec) == 1.0
+    assert 0.0 < attack_success_prob(
+        AttackSpec(p_a=0.6, n_bc=40, t_cut=200.0)) < 1.0
 
 
 def test_p_dsa_hand_computed_tiny_case():
@@ -169,8 +160,9 @@ def test_p_dsa_at_state_sums_to_p_dsa():
 
 def test_p_dsa_at_state_validation():
     spec = AttackSpec(p_a=0.3, n_bc=2, t_cut=INFINITE)
-    with pytest.raises(DomainError):
-        p_dsa_at_state(spec, 0)
+    for i in (0, 11.0, True, "7"):
+        with pytest.raises(DomainError):
+            p_dsa_at_state(spec, i)
 
 
 @given(
