@@ -49,15 +49,36 @@ def test_gamma_p_matches_scipy(a, x):
     )
 
 
-@pytest.mark.parametrize("i,rate,t", [
+@given(a=st.floats(0.5, 50), x=st.floats(1e-3, 200))
+@settings(max_examples=100, deadline=None)
+def test_gamma_p_upward_recurrence(a, x):
+    # P(a+1, x) = P(a, x) - x^a e^-x / Gamma(a+1)
+    term = math.exp(a * math.log(x) - x - math.lgamma(a + 1.0))
+    assert regularized_gamma_p(a + 1.0, x) == pytest.approx(
+        regularized_gamma_p(a, x) - term, rel=1e-10, abs=1e-14
+    )
+
+
+ERLANG_CASES = [
     (1, 0.01, 30.0),
     (3, 1 / 600, 1800.0),
     (7, 0.5, 2.0),
     (40, 2.0, 25.0),
-])
+]
+
+
+@pytest.mark.parametrize("i,rate,t", ERLANG_CASES)
 def test_erlang_matches_scipy(i, rate, t):
     assert erlang_pdf(i, rate, t) == pytest.approx(
         float(stats.erlang.pdf(t, i, scale=1 / rate)), rel=1e-11
+    )
+
+
+@pytest.mark.parametrize("i,rate,t", ERLANG_CASES)
+def test_gamma_p_is_erlang_cdf(i, rate, t):
+    # the mixture series in timing reads the Erlang CDF as P(i, rate * t)
+    assert regularized_gamma_p(float(i), rate * t) == pytest.approx(
+        float(stats.erlang.cdf(t, i, scale=1 / rate)), rel=1e-11
     )
 
 

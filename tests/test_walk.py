@@ -47,6 +47,15 @@ def test_ballot_number_catalan_column():
     assert [ballot_number(n, 0) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
 
 
+def test_ballot_number_generating_function():
+    # sum_n ballot(n, k) x^n = (2 / (1 + sqrt(1 - 4x)))^(k+1) for x <= 1/4
+    for k in (0, 1, 4):
+        for x in (0.0, 0.1, 0.2, 0.24):
+            series = sum(ballot_number(n, k) * x ** n for n in range(400))
+            closed = (2.0 / (1.0 + math.sqrt(1.0 - 4.0 * x))) ** (k + 1)
+            assert series == pytest.approx(closed, rel=1e-9)
+
+
 def test_ballot_number_negative():
     assert ballot_number(-1, 2) == 0
     assert ballot_number(2, -1) == 0
