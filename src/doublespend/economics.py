@@ -126,11 +126,6 @@ def _fails_forever(spec: AttackSpec) -> bool:
     return spec.infinite_cut and spec.p_a < 0.5
 
 
-def _moments(spec: AttackSpec, tol: float) -> tuple[float, float]:
-    # an attack that fails forever costs inf whatever its e_tas
-    return _success_moments(spec, tol, want_time=not _fails_forever(spec))
-
-
 def _give_up_time(spec: AttackSpec) -> float:
     """t_cut in the give-up terms (1 - p_as) * ... * t_cut. With no deadline
     (and p_a >= 1/2) p_as is exactly 1, and -0.0, the identity of float
@@ -179,7 +174,7 @@ def expected_opex(model: EconomicModel, spec: AttackSpec, tol: float = 1e-12) ->
     the expectation is returned as inf.
     """
     _require_linear(model, need_reward=False)
-    return _opex(model, spec, *_moments(spec, tol))
+    return _opex(model, spec, *_success_moments(spec, tol))
 
 
 def expected_profit(model: EconomicModel, spec: AttackSpec, tol: float = 1e-12) -> float:
@@ -190,7 +185,7 @@ def expected_profit(model: EconomicModel, spec: AttackSpec, tol: float = 1e-12) 
     at required_value.
     """
     _require_linear(model, need_reward=True)
-    p_as, e_tas = _moments(spec, tol)
+    p_as, e_tas = _success_moments(spec, tol)
     gain = model.value + model.beta * spec.lambda_a * e_tas
     return p_as * gain - _opex(model, spec, p_as, e_tas)
 
@@ -209,7 +204,7 @@ def required_value(model: EconomicModel, spec: AttackSpec, tol: float = 1e-12) -
     returns INFINITE_REQUIREMENT.
     """
     _require_linear(model, need_reward=True)
-    return _required(model, spec, *_moments(spec, tol))
+    return _required(model, spec, *_success_moments(spec, tol))
 
 
 def repeated_attack_projection(model: EconomicModel, spec: AttackSpec, n: int,
@@ -222,7 +217,7 @@ def repeated_attack_projection(model: EconomicModel, spec: AttackSpec, n: int,
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError(f"attack count must be a nonnegative integer, got {n!r}")
     _require_linear(model, need_reward=True)
-    p_as, e_tas = _moments(spec, tol)
+    p_as, e_tas = _success_moments(spec, tol)
     if n == 0:
         net = 0.0
     else:

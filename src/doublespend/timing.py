@@ -100,51 +100,53 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
 
 
-def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, want: str,
-                     states, total_mass: float) -> tuple[float, float]:
+def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, density: bool,
+                     states, total_mass: float,
+                     total_moment: float = math.inf) -> tuple[float, float]:
     """Shared Erlang-mixture series over the state masses p_i that states
-    yields, whose closed-form total is total_mass. With x = lambda_t * t_cut
-    it returns (p_as, second):
+    yields, whose closed-form totals are total_mass = sum_i p_i and
+    total_moment = sum_i i * p_i (read for e_tas only). With
+    x = lambda_t * t_cut it returns
+    (p_as, e_tas), or (p_as, f) when density is set:
 
       p_as  = sum_i p_i * ErlangCDF(i, lambda_t, t_cut)
       e_tas = sum_i p_i * (i / lambda_t) * ErlangCDF(i+1, lambda_t, t_cut) / p_as
       f     = sum_i p_i * erlang_pdf(i, lambda_t, t_cut)
 
-    second being e_tas for want "time", the density f for "density" and 0
-    for "p". The Erlang CDFs advance by P(i+1, x) = P(i, x) - u_i, with
+    The Erlang CDFs advance by P(i+1, x) = P(i, x) - u_i, with
     u_i = e^-x x^i / i!, reset from the incomplete-gamma evaluator every 64
     states to cancel additive drift; erlang_pdf(i) = lambda_t * u_(i-1).
-    Truncation is certified against the closed-form total mass: the CDF
+    Truncation is certified against the closed-form totals: the CDF
     decreases in the stage count i at fixed t, so the remaining p_as mass
-    after state I is at most P(I+1, x) * (p_dsa - accumulated p-mass); for
-    the numerator, integral(0..T) s * erlang_pdf(i, s) ds <= T *
-    ErlangCDF(i, T) scales the same bound by t_cut. The density's far terms
-    lie below the rounding of that remaining mass, so its tail uses masses
-    <= 1 instead: u_j shrinks by x / (j+1) per stage, so once I + 1 > x the
-    tail after state I is at most lambda_t * u_I * (I+1) / (I+1-x).
+    after state I is at most P(I+1, x) * (total_mass - accumulated p-mass).
+    The e_tas numerator's remainder is at most the smaller of that bound
+    times t_cut (integral(0..T) s * erlang_pdf(i, s) ds <= T *
+    ErlangCDF(i, T)) and P(I+1, x) * (total_moment - accumulated i * p_i) /
+    lambda_t. The first holds where the moment is infinite (p_a = 1/2); the
+    second shrinks where x is large and the first cannot. Both remainders
+    are clamped at 0, so the results are only as exact as the totals (the
+    race sums are within about 3e-13 relative). The density's far terms lie
+    below the rounding of the remaining mass, so its tail uses masses <= 1
+    instead: u_j shrinks by x / (j+1) per stage, so once I + 1 > x the tail
+    after state I is at most lambda_t * u_I * (I+1) / (I+1-x).
 
     p_as is the sum at the first checkpoint that certifies it, whether or
-    not the pass goes on to certify the second value, so it does not depend
-    on want. e_tas divides by the sum where the pass stops; it is 0 when
-    that sum is 0.
+    not the pass goes on to certify the second value. e_tas divides by the
+    sum where the pass stops; it is 0 when that sum is 0.
     """
-    want_time = want == "time"
-    want_density = want == "density"
     lam_t = spec.lambda_t
     x = lam_t * t_cut
     i0 = 2 * spec.n_bc + 1
     cdf = regularized_gamma_p(float(i0), x)
-    if cdf <= 0.0 and (x == 0.0 or not want_density):
+    if cdf <= 0.0 and (x == 0.0 or not density):
         return 0.0, 0.0  # not even the earliest state fits before t_cut
     log_u = i0 * math.log(x) - x - math.lgamma(i0 + 1)
     u = math.exp(log_u) if log_u > -745.0 else 0.0
     log_w = (i0 - 1) * math.log(x) - x - math.lgamma(i0)
     w = math.exp(log_w) if log_w > -745.0 else 0.0  # u_(i-1) at state i
-    acc_p = 0.0
-    acc_t = 0.0
-    acc_d = 0.0
+    acc_p = acc_t = acc_d = 0.0
     p_as = None
-    mass_seen = 0.0
+    mass_seen = moment_seen = 0.0
     steps = 0
     for i, p_i in enumerate(states, i0):
         cdf_next = cdf - u
@@ -152,11 +154,12 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, want: str,
             cdf_next = 0.0
         mass_seen += p_i
         acc_p += p_i * cdf
-        if want_time:
-            acc_t += p_i * (i / lam_t) * cdf_next
-        elif want_density:
+        if density:
             acc_d += p_i * w
             w = u
+        else:
+            moment_seen += i * p_i
+            acc_t += p_i * (i / lam_t) * cdf_next
         steps += 1
         if steps % 64 == 0 or cdf_next <= 1e-280:
             cdf_next = regularized_gamma_p(i + 1.0, x)
@@ -166,11 +169,12 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, want: str,
             if bound <= tol * max(acc_p, _TINY):
                 if p_as is None:
                     p_as = acc_p
-                if want_time:
-                    if t_cut * bound <= tol * max(acc_t, _TINY):
+                if not density:
+                    # or, not min: 0 * inf is nan where the moment is infinite
+                    tol_t = tol * max(acc_t, _TINY)
+                    if t_cut * bound <= tol_t or cdf_next * max(
+                            total_moment - moment_seen, 0.0) / lam_t <= tol_t:
                         return p_as, acc_t / acc_p if acc_p > 0.0 else 0.0
-                elif not want_density:
-                    return p_as, 0.0
                 elif i + 1 > x and (
                         w * (i + 1) / (i + 1 - x) <= tol * max(acc_d, _TINY)):
                     return p_as, lam_t * acc_d
@@ -187,28 +191,25 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, want: str,
     raise ConvergenceError("Erlang-mixture series terminated unexpectedly", acc_p)
 
 
-def _success_moments(spec: AttackSpec, tol: float,
-                     want_time: bool = True) -> tuple[float, float]:
+def _success_moments(spec: AttackSpec, tol: float) -> tuple[float, float]:
     """(p_as, e_tas) of one spec from a single Erlang-mixture pass, bit for
     bit the values of attack_success_prob and expected_success_time; every
-    derived quantity of the paper is arithmetic on this pair. Infinite cut:
-    p_dsa and expected_success_time_inf. e_tas reads 0 where p_as is 0, and
-    with want_time false, where the pass stops once p_as is certified.
+    derived quantity of the paper is arithmetic on this pair. The pass is
+    certified against the totals of one confirmation-race pass. Infinite
+    cut: p_dsa and expected_success_time_inf. e_tas reads 0 where p_as is 0.
     """
     _check_tol(tol)
     if spec.infinite_cut:
-        return _unbounded_moments(spec, want_time)
-    p_as, e_tas = _mixture_moments(spec, spec.t_cut, tol,
-                                   "time" if want_time else "p",
-                                   _state_mass_iter(spec), p_dsa(spec))
+        return _unbounded_moments(spec)
+    total, arrivals = _race(spec)
+    p_as, e_tas = _mixture_moments(spec, spec.t_cut, tol, False,
+                                   _state_mass_iter(spec), total,
+                                   total * arrivals)
     return min(p_as, 1.0), e_tas
 
 
-def _unbounded_moments(spec: AttackSpec, want_time: bool) -> tuple[float, float]:
-    """(p_dsa, e_tas) with no deadline from one confirmation-race pass;
-    p_dsa alone skips the pass where it is 1."""
-    if not want_time:
-        return p_dsa(spec), 0.0
+def _unbounded_moments(spec: AttackSpec) -> tuple[float, float]:
+    """(p_dsa, e_tas) with no deadline from one confirmation-race pass."""
     total, arrivals = _race(spec)
     if spec.p_a == 0.5:
         raise SingularityError(
@@ -238,7 +239,10 @@ def attack_success_prob(spec: AttackSpec, tol: float = 1e-12) -> float:
     cut: exactly the total mass p_dsa (waiting forever collects every state).
     Nondecreasing in t_cut with limit p_dsa.
     """
-    return _success_moments(spec, tol, want_time=False)[0]
+    if spec.infinite_cut:
+        _check_tol(tol)
+        return p_dsa(spec)
+    return _success_moments(spec, tol)[0]
 
 
 def expected_success_time(spec: AttackSpec, tol: float = 1e-12) -> float:
@@ -261,7 +265,7 @@ def expected_success_time_inf(spec: AttackSpec) -> float:
     but only after a time of infinite mean, so evaluation is refused and
     callers are pointed to a finite cut or the simulation oracle.
     """
-    return _unbounded_moments(spec, want_time=True)[1]
+    return _unbounded_moments(spec)[1]
 
 
 def sampling_grid(spec: AttackSpec, times: list[float],
@@ -283,6 +287,6 @@ def sampling_grid(spec: AttackSpec, times: list[float],
     rows = []
     for t, states in zip(times, passes):
         cdf, dens = (0.0, 0.0) if t == 0.0 else _mixture_moments(
-            spec, t, tol, "density", states, total_mass)
+            spec, t, tol, True, states, total_mass)
         rows.append((t, dens, min(cdf, 1.0)))
     return rows

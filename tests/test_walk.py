@@ -122,17 +122,26 @@ def test_p_dsa_majority_attacker_certain():
 
 
 def test_p_dsa_majority_skips_race_pass(monkeypatch):
-    # the answer is known to be 1, so no O(n_bc) race pass may run
-    def refuse(spec):
-        raise AssertionError("race pass ran for a majority attacker")
+    # the unbounded answer is known to be 1, so no O(n_bc) race pass may
+    # run; a finite cut runs exactly one, whose totals certify the series
+    calls = []
 
-    monkeypatch.setattr(walk, "_race", refuse)
-    monkeypatch.setattr(timing, "_race", refuse)
+    def counted(spec):
+        calls.append(spec)
+        return race(spec)
+
+    race = walk._race
+    monkeypatch.setattr(walk, "_race", counted)
+    monkeypatch.setattr(timing, "_race", counted)
     spec = AttackSpec(p_a=0.6, n_bc=40, t_cut=INFINITE)
     assert p_dsa(spec) == 1.0
     assert attack_success_prob(spec) == 1.0
-    assert 0.0 < attack_success_prob(
-        AttackSpec(p_a=0.6, n_bc=40, t_cut=200.0)) < 1.0
+    assert calls == []
+    for p_a in (0.35, 0.6):
+        finite = AttackSpec(p_a=p_a, n_bc=40, t_cut=200.0)
+        assert 0.0 < attack_success_prob(finite) < 1.0
+        assert calls == [finite]
+        calls.clear()
 
 
 def test_p_dsa_hand_computed_tiny_case():
