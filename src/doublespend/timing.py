@@ -61,6 +61,10 @@ def _state_mass_iter(spec: AttackSpec):
     start exp((n_bc+1) ln p_a + n_bc ln p_h) is below the normal floats,
     they run 2^s times larger, near e^-350, and their sum is scaled back
     exactly by ldexp, so the ballot family keeps its precision at depth.
+    The confirmation-last lane has its own offset s2, started the same way
+    (its start is subnormal at p_a > 1/2 and deep n_bc, where it carries
+    nearly all the mass); as the lane grows, s2 moves back toward 0 in
+    exact steps of at most 2^500, so the scaled lane stays normal.
     """
     n_bc = spec.n_bc
     if n_bc > _MAX_FLOAT_NBC:
@@ -76,12 +80,14 @@ def _state_mass_iter(spec: AttackSpec):
     lane0 = (n_bc + 1) * ln_pa + n_bc * ln_ph
     s = 0 if lane0 >= _LN_MIN_NORMAL else math.ceil((-lane0 - 350.0) / _LN2)
     lanes = [math.exp(lane0 + s * _LN2)] * len(binoms)
-    t2 = math.exp(math.log(math.comb(2 * n_bc, n_bc - 1))
-                  + n_bc * ln_ph + (n_bc + 1) * ln_pa)
+    last0 = (math.log(math.comb(2 * n_bc, n_bc - 1))
+             + n_bc * ln_ph + (n_bc + 1) * ln_pa)
+    s2 = 0 if last0 >= _LN_MIN_NORMAL else math.ceil((-last0 - 350.0) / _LN2)
+    t2 = math.exp(last0 + s2 * _LN2)
     i = 2 * n_bc + 1
     n = 0
     while True:
-        p_i = t2
+        p_i = math.ldexp(t2, -s2)
         if (i - 2 * n_bc) % 2 == 1:
             p_i += math.ldexp(sum(b * lane for b, lane in zip(binoms, lanes)), -s)
             for idx, m in enumerate(ms):
@@ -92,6 +98,10 @@ def _state_mass_iter(spec: AttackSpec):
             n += 1
         yield p_i
         t2 *= i / (i - n_bc + 1) * pa
+        if s2 and t2 > 1.0:  # growing: move the offset back toward 0
+            shift = min(s2, 500)
+            t2 = math.ldexp(t2, -shift)
+            s2 -= shift
         i += 1
 
 
@@ -136,6 +146,11 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, density: bool,
     """
     lam_t = spec.lambda_t
     x = lam_t * t_cut
+    if not x < math.inf:
+        raise DomainError(
+            f"lambda_t * t = {x} is not finite; "
+            f"use INFINITE for an unbounded attack"
+        )
     i0 = 2 * spec.n_bc + 1
     cdf = regularized_gamma_p(float(i0), x)
     if cdf <= 0.0 and (x == 0.0 or not density):

@@ -45,9 +45,10 @@ class AttackSpec:
     p_a        attacker share of total computing power, 0 < p_a < 1
     n_bc       confirmation count the merchant waits for, >= 1
     t_cut      give-up deadline in seconds, or INFINITE
-    lambda_h   honest-chain block rate in blocks/second (defaults to 1.0,
-               a dimensionless convention; success probabilities do not
-               depend on it, absolute times scale with it)
+    lambda_h   honest-chain block rate in blocks/second, positive and
+               finite (defaults to 1.0, a dimensionless convention; success
+               probabilities do not depend on it, absolute times scale
+               with it)
     """
 
     p_a: float
@@ -67,8 +68,9 @@ class AttackSpec:
                 )
             if math.isinf(self.t_cut):
                 raise DomainError("use INFINITE for an unbounded attack, not float('inf')")
-        if not self.lambda_h > 0.0:
-            raise DomainError(f"lambda_h must be positive, got {self.lambda_h}")
+        if not 0.0 < self.lambda_h < math.inf:
+            raise DomainError(
+                f"lambda_h must be positive and finite, got {self.lambda_h}")
 
     @property
     def p_h(self) -> float:
@@ -92,8 +94,12 @@ def ballot_number(n: int, m: int) -> int:
     """Count of length-(2n+m) walks of +/-1 steps from 0 to m never going negative.
 
     (m+1)/(n+m+1) * binom(2n+m, n) for n, m >= 0 (the division is exact);
-    0 for any negative argument. Exact arbitrary-precision integers.
+    0 for any negative argument. Exact arbitrary-precision integers; any
+    other argument type, bool included, raises DomainError.
     """
+    for arg in (n, m):
+        if not isinstance(arg, int) or isinstance(arg, bool):
+            raise DomainError(f"ballot_number takes integers, got {arg!r}")
     if n < 0 or m < 0:
         return 0
     return (m + 1) * math.comb(2 * n + m, n) // (n + m + 1)

@@ -223,10 +223,35 @@ class TestExitCodes:
                     "--tol", tol]) == 2
         assert "tolerance must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["prob", "--pa", "0.35", "--nbc", "5", "--cut-time", "100",
+         "--lambda-h", "inf"],
+        ["prob", "--pa", "0.35", "--nbc", "5", "--cut-time", "1e308",
+         "--lambda-h", "10"],
+    ], ids=["infinite rate", "overflowing rate times cut"])
+    def test_nonfinite_rate_times_cut(self, argv, capsys):
+        # both used to exit 3: the incomplete gamma did not converge
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "lambda_h must be positive and finite" in err or "INFINITE" in err
+
     @pytest.mark.parametrize("t_max", ["nan", "inf"])
     def test_nonfinite_t_max(self, t_max, capsys):
         assert run(["pdf", "--pa", "0.35", "--nbc", "5", "--t-max", t_max]) == 2
         assert "finite and nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", [
+    ["expect-time", "--pa", "0.35", "--nbc", "5"],
+    ["case-study", "--pa", "0.35", "--nbc", "5"],
+    ["table", "--nbc", "1,5", "--pa", "0.35,0.6"],
+], ids=lambda cmd: cmd[0])
+def test_large_cut_multiplier(cmd, bch_config, capsys):
+    # E_TAS is certified against its exact first moment, so c 1e6 returns
+    # at once; it used to walk about 2M states and exit 3
+    if cmd[0] == "case-study":
+        cmd = cmd + ["--config", bch_config]
+    assert run(cmd + ["--cut-mult", "1e6", "--format", "json"]) == 0
 
 
 def test_repeat_invocations_byte_identical(capsys):

@@ -281,6 +281,59 @@ def test_state_masses_at_depth(p_a):
         assert math.isclose(mass, p_dsa_at_state(spec, i), rel_tol=1e-12), i
 
 
+def test_confirmation_last_lane_at_depth():
+    # at p_a 0.99, n_bc 250 the confirmation-last lane starts at e^-810;
+    # unscaled it read 0.0 from state 700 on, where the masses are normal
+    spec = AttackSpec(p_a=0.99, n_bc=250, t_cut=300.0)
+    masses = list(itertools.islice(timing._state_mass_iter(spec), 1500))
+    for i in [*range(700, 2001, 50), 1000, 2000]:
+        exact = p_dsa_at_state(spec, i)
+        assert math.isclose(masses[i - 501], exact, rel_tol=1e-12), i
+
+
+def test_success_prob_where_confirmation_decides():
+    # the attacker leads when the n_bc-th honest block arrives except with
+    # probability far below 1e-300, so p_as is that block's Erlang CDF;
+    # the lost lane made this read 0.0
+    spec = AttackSpec(p_a=0.99, n_bc=250, t_cut=300.0)
+    assert attack_success_prob(spec) == pytest.approx(
+        regularized_gamma_p(250.0, 300.0), rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("p_a,n_bc", [(0.35, 5), (0.6, 5), (0.1, 12)])
+def test_expected_success_time_at_large_cut(p_a, n_bc):
+    # the first-moment bound certifies without walking to state lambda_t *
+    # t_cut; at c 1e6 the old bound took 5 s at (0.35, 5)
+    finite = expected_success_time(AttackSpec(p_a, n_bc, 1e6 * n_bc))
+    unbounded = expected_success_time_inf(AttackSpec(p_a, n_bc, INFINITE))
+    assert finite == pytest.approx(unbounded, rel=1e-11, abs=0)
+
+
+@given(
+    p_a=st.one_of(st.floats(0.05, 0.49), st.floats(0.51, 0.95)),
+    n_bc=st.integers(1, 12),
+    log_c=st.tuples(st.floats(-0.3, 6.0), st.floats(-0.3, 6.0)),
+)
+@settings(max_examples=25, deadline=None)
+def test_expected_success_time_bounded_by_unbounded(p_a, n_bc, log_c):
+    # nondecreasing in t_cut and never above E_TAS^inf, up to the series'
+    # 1e-12 certification
+    c1, c2 = sorted(10.0 ** v for v in log_c)
+    e1, e2 = (expected_success_time(AttackSpec(p_a, n_bc, c * n_bc))
+              for c in (c1, c2))
+    limit = expected_success_time_inf(AttackSpec(p_a, n_bc, INFINITE))
+    assert e1 <= e2 * (1 + 1e-11)
+    assert e2 <= limit * (1 + 1e-11)
+
+
+def test_mixture_time_must_be_finite():
+    # lambda_t * t overflows: the incomplete gamma used to fail to converge
+    with pytest.raises(DomainError, match="INFINITE"):
+        attack_success_prob(AttackSpec(0.35, 5, 1e308, lambda_h=10.0))
+    with pytest.raises(DomainError, match="INFINITE"):
+        sampling_grid(AttackSpec(0.35, 5, 100.0, lambda_h=1e300), [1e10])
+
+
 def test_expected_success_time_unbounded_below_bounded_cut():
     # conditioning on success within a deadline biases the mean downward
     spec_fin = AttackSpec(t_cut=12000.0, **BCH)

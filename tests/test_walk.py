@@ -61,6 +61,14 @@ def test_ballot_number_negative():
     assert ballot_number(2, -1) == 0
 
 
+@pytest.mark.parametrize("args", [(2.0, 1), (1, 2.0), (True, 1), (1, False),
+                                  ("2", 1)])
+def test_ballot_number_rejects_non_integers(args):
+    # a float used to raise a raw TypeError and True counted as 1
+    with pytest.raises(DomainError, match="integers"):
+        ballot_number(*args)
+
+
 def test_ballot_number_stays_exact_when_large():
     v = ballot_number(300, 10)
     assert isinstance(v, int)
@@ -106,6 +114,9 @@ class TestAttackSpec:
             AttackSpec(p_a=0.3, n_bc=3, t_cut=-5.0)
         with pytest.raises(DomainError):
             AttackSpec(p_a=0.3, n_bc=3, t_cut=100.0, lambda_h=0.0)
+        for rate in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="lambda_h"):
+                AttackSpec(p_a=0.3, n_bc=3, t_cut=100.0, lambda_h=rate)
 
 
 def test_p_dsa_printed_anchors():
