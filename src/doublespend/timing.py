@@ -7,10 +7,12 @@ a point defect at infinity ("never succeeds"), never a density feature.
 One runtime route evaluates it: the Erlang-mixture series, per-state masses
 p_i times the Erlang stage laws of the merged arrival process. It gives the
 success probability (the distribution function at the cut), the expected
-success time and the density, each with a certified truncation tail.
-sampling_grid walks the state masses once for a whole grid of times. With
-no deadline the success probability and mean come from the confirmation-race
-sum of walk._race instead. The paper's closed-form density (a hypergeometric
+success time and the density, each with a certified truncation tail. A
+finite-cut pass gives the probability and the mean together, certified
+against the total mass and first moment of the state masses, both from one
+confirmation-race sum (walk._race); with no deadline that sum gives the
+probability and mean directly. sampling_grid walks the state masses once
+for a whole grid of times. The paper's closed-form density (a hypergeometric
 block plus an incomplete-gamma block) is kept in the tests as an oracle for
 this series.
 """
@@ -65,13 +67,20 @@ def _state_mass_iter(spec: AttackSpec):
     (its start is subnormal at p_a > 1/2 and deep n_bc, where it carries
     nearly all the mass); as the lane grows, s2 moves back toward 0 in
     exact steps of at most 2^500, so the scaled lane stays normal.
+
+    The depth limit is checked at the call, so a caller that makes the
+    iterator first refuses a deep spec before computing its totals.
     """
-    n_bc = spec.n_bc
-    if n_bc > _MAX_FLOAT_NBC:
+    if spec.n_bc > _MAX_FLOAT_NBC:
         raise DomainError(
-            f"n_bc = {n_bc} exceeds {_MAX_FLOAT_NBC}, the largest "
+            f"n_bc = {spec.n_bc} exceeds {_MAX_FLOAT_NBC}, the largest "
             f"confirmation count whose binomial weights fit in a float"
         )
+    return _state_masses(spec)
+
+
+def _state_masses(spec: AttackSpec):
+    n_bc = spec.n_bc
     pa, ph = spec.p_a, spec.p_h
     paph = pa * ph
     binoms = [float(math.comb(j - 1, n_bc - 1)) for j in range(n_bc, 2 * n_bc + 1)]
@@ -87,7 +96,7 @@ def _state_mass_iter(spec: AttackSpec):
     i = 2 * n_bc + 1
     n = 0
     while True:
-        p_i = math.ldexp(t2, -s2)
+        p_i = math.ldexp(t2, -s2) if s2 else t2
         if (i - 2 * n_bc) % 2 == 1:
             p_i += math.ldexp(sum(b * lane for b, lane in zip(binoms, lanes)), -s)
             for idx, m in enumerate(ms):
@@ -216,10 +225,10 @@ def _success_moments(spec: AttackSpec, tol: float) -> tuple[float, float]:
     _check_tol(tol)
     if spec.infinite_cut:
         return _unbounded_moments(spec)
+    states = _state_mass_iter(spec)
     total, arrivals = _race(spec)
-    p_as, e_tas = _mixture_moments(spec, spec.t_cut, tol, False,
-                                   _state_mass_iter(spec), total,
-                                   total * arrivals)
+    p_as, e_tas = _mixture_moments(spec, spec.t_cut, tol, False, states,
+                                   total, total * arrivals)
     return min(p_as, 1.0), e_tas
 
 
@@ -250,8 +259,9 @@ def _conditional_moments(spec: AttackSpec, tol: float) -> tuple[float, float]:
 def attack_success_prob(spec: AttackSpec, tol: float = 1e-12) -> float:
     """Probability the attack achieves before the cut-time.
 
-    Finite cut: certified truncation of the Erlang-mixture series. Infinite
-    cut: exactly the total mass p_dsa (waiting forever collects every state).
+    Finite cut: certified truncation of the Erlang-mixture series, from the
+    same pass that certifies expected_success_time. Infinite cut: exactly
+    the total mass p_dsa (waiting forever collects every state).
     Nondecreasing in t_cut with limit p_dsa.
     """
     if spec.infinite_cut:
@@ -297,8 +307,9 @@ def sampling_grid(spec: AttackSpec, times: list[float],
     for t in times:
         if not 0.0 <= t < math.inf:
             raise DomainError(f"times must be finite and nonnegative, got {t}")
+    states = _state_mass_iter(spec)
     total_mass = p_dsa(spec)
-    passes = itertools.tee(_state_mass_iter(spec), len(times))
+    passes = itertools.tee(states, len(times))
     rows = []
     for t, states in zip(times, passes):
         cdf, dens = (0.0, 0.0) if t == 0.0 else _mixture_moments(

@@ -271,6 +271,19 @@ def test_float_depth_limit():
         attack_success_prob(AttackSpec(p_a=0.35, n_bc=516, t_cut=2064.0))
 
 
+def test_depth_limit_checked_before_totals(monkeypatch):
+    # the race totals cost O(n_bc); at n_bc 1e6 they took 37 s before the
+    # depth limit refused the spec
+    races = _call_counter(monkeypatch, "_race")
+    totals = _call_counter(monkeypatch, "p_dsa")
+    spec = AttackSpec(p_a=0.6, n_bc=10 ** 6, t_cut=4e6)
+    with pytest.raises(DomainError, match="515"):
+        attack_success_prob(spec)
+    with pytest.raises(DomainError, match="515"):
+        sampling_grid(spec, [1.0])
+    assert races == totals == []
+
+
 @pytest.mark.parametrize("p_a", [0.1, 0.35])
 def test_state_masses_at_depth(p_a):
     # the ballot lanes start below the normal floats at n_bc 500; unscaled
