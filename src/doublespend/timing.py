@@ -125,8 +125,8 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, density: bool,
     """Shared Erlang-mixture series over the state masses p_i that states
     yields, whose closed-form totals are total_mass = sum_i p_i and
     total_moment = sum_i i * p_i (read for e_tas only). With
-    x = lambda_t * t_cut it returns
-    (p_as, e_tas), or (p_as, f) when density is set:
+    x = lambda_t * t_cut it returns (p_as, e_tas), or (p_as, f) when
+    density is set:
 
       p_as  = sum_i p_i * ErlangCDF(i, lambda_t, t_cut)
       e_tas = sum_i p_i * (i / lambda_t) * ErlangCDF(i+1, lambda_t, t_cut) / p_as
