@@ -18,9 +18,9 @@ from typing import IO, Sequence
 
 from .economics import EconomicModel, expected_profit, required_value
 from .errors import ConvergenceError, DoubleSpendError
-from .reporting import _requirement_assessment, build_resource_table, case_study, \
-    gamma_from_market, load_network_config, premine_comparison, render_record, \
-    render_rows, render_table
+from .reporting import _case_report, _requirement_assessment, build_resource_table, \
+    case_study, gamma_from_market, load_network_config, premine_comparison, \
+    render_record, render_rows, render_table
 from .simulate import estimate, estimate_profit
 from .timing import _conditional_moments, attack_success_prob, sampling_grid
 from .walk import INFINITE, AttackSpec
@@ -31,26 +31,16 @@ _DEFAULT_TRIALS = 100_000
 _DEFAULT_SEED = 0
 
 
-def _float_or_inf(text: str, what: str) -> float:
+def _cut_float(text: str) -> float:
+    """Parse --cut-time / --cut-mult: a number, or 'inf' for an unbounded cut."""
     if text.strip().lower() in ("inf", "infinite", "infinity"):
         return math.inf
     try:
         return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected {what} or 'inf', got {text!r}"
+            f"expected a number or 'inf', got {text!r}"
         ) from None
-
-
-def _cut_value(text: str) -> object:
-    """Parse --cut-time: positive seconds, or 'inf' for an unbounded cut."""
-    value = _float_or_inf(text, "a number of seconds")
-    return INFINITE if math.isinf(value) else value
-
-
-def _mult_value(text: str) -> float:
-    """Parse --cut-mult: positive multiplier, or 'inf' for an unbounded cut."""
-    return _float_or_inf(text, "a multiplier")
 
 
 def _int_list(text: str) -> list[int]:
@@ -71,29 +61,9 @@ def _float_list(text: str) -> list[float]:
         ) from None
 
 
-def _add_rate_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--lambda-h", type=float, dest="lambda_h", metavar="RATE",
-                       help="honest block rate in blocks/second")
-    group.add_argument("--block-time", type=float, dest="block_time",
-                       metavar="SECONDS",
-                       help="mean honest block interval in seconds "
-                            f"(default {_DEFAULT_BLOCK_TIME:g} when neither "
-                            "rate flag is given)")
-
-
-def _add_cut_flags(parser: argparse.ArgumentParser, required: bool) -> None:
-    group = parser.add_mutually_exclusive_group(required=required)
-    group.add_argument("--cut-time", type=_cut_value, dest="cut_time",
-                       metavar="SECONDS|inf",
-                       help="give-up deadline in seconds, or 'inf'")
-    group.add_argument("--cut-mult", "--c", type=_mult_value, dest="cut_mult",
-                       metavar="C|inf",
-                       help="deadline as C block intervals per confirmation "
-                            "(t_cut = C * nbc / lambda_h)")
-
-
-def _add_common(parser: argparse.ArgumentParser, *, economics: bool = False) -> None:
+def _add_point_flags(parser: argparse.ArgumentParser, *, economics: bool = False,
+                     cut_required: bool = True, rate: bool = True) -> None:
+    """The operating point: share, depth, tolerance, cut and honest rate."""
     parser.add_argument("--pa", type=float, required=True,
                         help="attacker share of total block-finding power")
     parser.add_argument("--nbc", type=int, required=True,
@@ -108,41 +78,50 @@ def _add_common(parser: argparse.ArgumentParser, *, economics: bool = False) -> 
                             help="double-spent transaction value (default 0)")
     parser.add_argument("--tol", type=float, default=_DEFAULT_TOL,
                         help=f"series truncation tolerance (default {_DEFAULT_TOL:g})")
-
-
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "csv", "json"),
-                        default="text", help="output format (default text)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="write output to this file instead of stdout")
+    group = parser.add_mutually_exclusive_group(required=cut_required)
+    group.add_argument("--cut-time", type=_cut_float, dest="cut_time",
+                       metavar="SECONDS|inf",
+                       help="give-up deadline in seconds, or 'inf'")
+    group.add_argument("--cut-mult", "--c", type=_cut_float, dest="cut_mult",
+                       metavar="C|inf",
+                       help="deadline as C block intervals per confirmation "
+                            "(t_cut = C * nbc / lambda_h)")
+    if rate:
+        group = parser.add_mutually_exclusive_group()
+        group.add_argument("--lambda-h", type=float, dest="lambda_h",
+                           metavar="RATE", help="honest block rate in blocks/second")
+        group.add_argument("--block-time", type=float, dest="block_time",
+                           metavar="SECONDS",
+                           help="mean honest block interval in seconds "
+                                f"(default {_DEFAULT_BLOCK_TIME:g} when neither "
+                                "rate flag is given)")
 
 
 def _resolve_lambda_h(args: argparse.Namespace) -> float:
-    if getattr(args, "lambda_h", None) is not None:
+    if args.lambda_h is not None:
         return args.lambda_h
-    block_time = getattr(args, "block_time", None)
-    if block_time is not None:
-        if block_time <= 0:
+    if args.block_time is not None:
+        if args.block_time <= 0:
             raise DoubleSpendError(
-                f"block time must be positive, got {block_time}"
+                f"block time must be positive, got {args.block_time}"
             )
-        return 1.0 / block_time
+        return 1.0 / args.block_time
     return 1.0 / _DEFAULT_BLOCK_TIME
 
 
-def _resolve_spec(args: argparse.Namespace, *, default_cut: object = None) -> AttackSpec:
-    lambda_h = _resolve_lambda_h(args)
-    cut_time = getattr(args, "cut_time", None)
-    cut_mult = getattr(args, "cut_mult", None)
-    if cut_time is not None:
-        t_cut = cut_time
-    elif cut_mult is not None:
-        t_cut = INFINITE if math.isinf(cut_mult) \
-            else cut_mult * args.nbc / lambda_h
-    elif default_cut is not None:
-        t_cut = default_cut
+def _resolve_spec(args: argparse.Namespace, lambda_h: float | None = None) -> AttackSpec:
+    """The spec of the point flags; lambda_h defaults to the rate flags'.
+    Only a +inf cut flag, or none at all, means an unbounded attack; any
+    other value, -inf and nan included, goes to AttackSpec to be checked."""
+    if lambda_h is None:
+        lambda_h = _resolve_lambda_h(args)
+    cut = args.cut_time if args.cut_mult is None else args.cut_mult
+    if cut is None or cut == math.inf:
+        t_cut: object = INFINITE
+    elif args.cut_mult is None:
+        t_cut = cut
     else:
-        raise DoubleSpendError("one of --cut-time / --cut-mult is required")
+        t_cut = cut * args.nbc / lambda_h
     return AttackSpec(p_a=args.pa, n_bc=args.nbc, t_cut=t_cut, lambda_h=lambda_h)
 
 
@@ -158,26 +137,17 @@ def _spec_params(spec: AttackSpec, tol: float | None = None) -> dict[str, object
     return params
 
 
-def _emit(text: str, out: Path | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.write_text(text, encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns the rendered report
 
-def _cmd_prob(args: argparse.Namespace) -> int:
+def _cmd_prob(args: argparse.Namespace) -> str:
     spec = _resolve_spec(args)
     result = {"p_as": attack_success_prob(spec, args.tol)}
-    _emit(render_record(_spec_params(spec, args.tol), result, args.format),
-          args.out)
-    return 0
+    return render_record(_spec_params(spec, args.tol), result, args.format)
 
 
-def _cmd_pdf(args: argparse.Namespace) -> int:
-    spec = _resolve_spec(args, default_cut=INFINITE)
+def _cmd_pdf(args: argparse.Namespace) -> str:
+    spec = _resolve_spec(args)
     if args.t_max is not None:
         t_max = args.t_max
     elif not spec.infinite_cut:
@@ -196,43 +166,38 @@ def _cmd_pdf(args: argparse.Namespace) -> int:
     params = _spec_params(spec, args.tol)
     params["t_max"] = t_max
     params["points"] = args.points
-    _emit(render_rows(params, rows, ("t_seconds", "density", "success_prob"),
-                      args.format), args.out)
-    return 0
+    return render_rows(params, rows, ("t_seconds", "density", "success_prob"),
+                       args.format)
 
 
-def _cmd_expect_time(args: argparse.Namespace) -> int:
+def _cmd_expect_time(args: argparse.Namespace) -> str:
     spec = _resolve_spec(args)
     p_as, e_tas = _conditional_moments(spec, args.tol)
     result = {"e_tas_seconds": e_tas, "p_as": p_as}
-    _emit(render_record(_spec_params(spec, args.tol), result, args.format),
-          args.out)
-    return 0
+    return render_record(_spec_params(spec, args.tol), result, args.format)
 
 
-def _cmd_profit(args: argparse.Namespace) -> int:
+def _cmd_profit(args: argparse.Namespace) -> str:
     spec = _resolve_spec(args)
     model = EconomicModel(gamma=args.gamma, beta=args.beta, value=args.value)
     params = _spec_params(spec, args.tol)
     params.update(gamma=args.gamma, beta=args.beta, value=args.value,
                   mu=model.mu)
     result = {"e_p": expected_profit(model, spec, args.tol)}
-    _emit(render_record(params, result, args.format), args.out)
-    return 0
+    return render_record(params, result, args.format)
 
 
-def _cmd_creq(args: argparse.Namespace) -> int:
+def _cmd_creq(args: argparse.Namespace) -> str:
     spec = _resolve_spec(args)
     model = EconomicModel(gamma=args.gamma, beta=args.beta)
     params = _spec_params(spec, args.tol)
     params.update(gamma=args.gamma, beta=args.beta, mu=model.mu)
     c_req = required_value(model, spec, args.tol)
     result = {"c_req": c_req, "assessment": _requirement_assessment(c_req)}
-    _emit(render_record(params, result, args.format), args.out)
-    return 0
+    return render_record(params, result, args.format)
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> str:
     table = build_resource_table(args.nbc, args.pa, args.cut_mult, args.tol)
     params = {
         "c": args.cut_mult,
@@ -240,32 +205,29 @@ def _cmd_table(args: argparse.Namespace) -> int:
         "p_a_list": ",".join(repr(p) for p in args.pa),
         "tol": args.tol,
     }
-    _emit(render_table(table, args.format, params), args.out)
-    return 0
+    return render_table(table, args.format, params)
 
 
-def _cmd_case_study(args: argparse.Namespace) -> int:
+def _cmd_case_study(args: argparse.Namespace) -> str:
     cfg = load_network_config(args.config)
-    cut_mult = args.cut_mult
-    if args.cut_time is not None:
-        if args.cut_time is INFINITE:
-            cut_mult = math.inf
-        else:
-            cut_mult = args.cut_time / (args.nbc * cfg.block_time_seconds)
-    report = case_study(cfg, args.pa, args.nbc, cut_mult, args.tol)
+    if args.cut_time is None:
+        report = case_study(cfg, args.pa, args.nbc, args.cut_mult, args.tol)
+    else:
+        # the time given is the time used; c is only reported
+        spec = _resolve_spec(args, cfg.lambda_h)
+        c = args.cut_time / (args.nbc * cfg.block_time_seconds)
+        report = _case_report(cfg, spec, c, args.tol)
     params = {"config": str(args.config), "tol": args.tol}
-    _emit(render_record(params, report, args.format), args.out)
-    return 0
+    return render_record(params, report, args.format)
 
 
-def _cmd_compare_premine(args: argparse.Namespace) -> int:
+def _cmd_compare_premine(args: argparse.Namespace) -> str:
     result = premine_comparison(args.pa, args.nbc)
     params = {"p_a": args.pa, "n_bc": args.nbc}
-    _emit(render_record(params, result, args.format), args.out)
-    return 0
+    return render_record(params, result, args.format)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> str:
     spec = _resolve_spec(args)
     if (args.gamma is None) != (args.beta is None):
         raise DoubleSpendError(
@@ -309,11 +271,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     }
     if summary.mean_profit is not None:
         result["mean_profit"] = summary.mean_profit
-    _emit(render_record(params, result, args.format), args.out)
-    return 0
+    return render_record(params, result, args.format)
 
 
-def _cmd_market_gamma(args: argparse.Namespace) -> int:
+def _cmd_market_gamma(args: argparse.Namespace) -> str:
     cfg = load_network_config(args.config)
     params: dict[str, object] = {
         "config": str(args.config),
@@ -325,8 +286,7 @@ def _cmd_market_gamma(args: argparse.Namespace) -> int:
     if cfg.network_hashrate is not None:
         params["network_hashrate"] = cfg.network_hashrate
     result = {"gamma": gamma_from_market(cfg)}
-    _emit(render_record(params, result, args.format), args.out)
-    return 0
+    return render_record(params, result, args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -340,49 +300,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prob", help="attack success probability")
-    _add_common(p)
-    _add_cut_flags(p, required=True)
-    _add_rate_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_prob)
+    def command(name: str, handler, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("pdf", help="achieving-time density and success "
-                                   "probability on a time grid")
-    _add_common(p)
-    _add_cut_flags(p, required=False)
-    _add_rate_flags(p)
+    _add_point_flags(command("prob", _cmd_prob, "attack success probability"))
+
+    p = command("pdf", _cmd_pdf, "achieving-time density and success "
+                                 "probability on a time grid")
+    _add_point_flags(p, cut_required=False)
     p.add_argument("--t-max", type=float, default=None,
                    help="largest grid time in seconds (default: the cut-time "
                         "if finite, else 6*nbc block intervals)")
     p.add_argument("--points", type=int, default=50,
                    help="number of grid points (default 50)")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_pdf)
 
-    p = sub.add_parser("expect-time", help="conditional mean success time")
-    _add_common(p)
-    _add_cut_flags(p, required=True)
-    _add_rate_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_expect_time)
+    _add_point_flags(command("expect-time", _cmd_expect_time,
+                             "conditional mean success time"))
+    _add_point_flags(command("profit", _cmd_profit, "expected attack profit"),
+                     economics=True)
+    _add_point_flags(command("creq", _cmd_creq, "transaction value required "
+                                                "for profitability"),
+                     economics=True)
 
-    p = sub.add_parser("profit", help="expected attack profit")
-    _add_common(p, economics=True)
-    _add_cut_flags(p, required=True)
-    _add_rate_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_profit)
-
-    p = sub.add_parser("creq", help="transaction value required for "
-                                    "profitability")
-    _add_common(p, economics=True)
-    _add_cut_flags(p, required=True)
-    _add_rate_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_creq)
-
-    p = sub.add_parser("table", help="scaled resource table over a "
+    p = command("table", _cmd_table, "scaled resource table over a "
                                      "(nbc, pa) grid")
     p.add_argument("--nbc", type=_int_list, required=True,
                    help="comma-separated confirmation depths")
@@ -393,33 +335,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="deadline as C block intervals per confirmation")
     p.add_argument("--tol", type=float, default=_DEFAULT_TOL,
                    help=f"series truncation tolerance (default {_DEFAULT_TOL:g})")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_table)
 
-    p = sub.add_parser("case-study", help="full attack economics for a "
-                                          "configured network")
+    p = command("case-study", _cmd_case_study, "full attack economics for a "
+                                               "configured network")
     p.add_argument("--config", type=Path, required=True,
                    help="network config file (key = value lines)")
-    _add_common(p)
-    _add_cut_flags(p, required=True)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_case_study)
+    _add_point_flags(p, rate=False)
 
-    p = sub.add_parser("compare-premine",
-                       help="attack success probability versus a pre-built "
-                            "secret lead")
+    p = command("compare-premine", _cmd_compare_premine,
+                "attack success probability versus a pre-built secret lead")
     p.add_argument("--pa", type=float, required=True,
                    help="attacker share of total block-finding power")
     p.add_argument("--nbc", type=int, required=True,
                    help="confirmations required by the merchant")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_compare_premine)
 
-    p = sub.add_parser("simulate", help="Monte Carlo estimate of success "
-                                        "probability and timing")
-    _add_common(p)
-    _add_cut_flags(p, required=True)
-    _add_rate_flags(p)
+    p = command("simulate", _cmd_simulate, "Monte Carlo estimate of success "
+                                           "probability and timing")
+    _add_point_flags(p)
     p.add_argument("--trials", type=int, default=_DEFAULT_TRIALS,
                    help=f"number of trials (default {_DEFAULT_TRIALS})")
     p.add_argument("--seed", type=int, default=_DEFAULT_SEED,
@@ -438,16 +370,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="double-spent transaction value (default 0)")
     p.add_argument("--trace", type=Path, default=None,
                    help="write one CSV row per trial to this file")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("market-gamma", help="per-block operating cost implied "
-                                            "by hashrate rental figures")
+    p = command("market-gamma", _cmd_market_gamma, "per-block operating cost "
+                                                   "implied by hashrate rental "
+                                                   "figures")
     p.add_argument("--config", type=Path, required=True,
                    help="network config file (key = value lines)")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_market_gamma)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("text", "csv", "json"),
+                       default="text", help="output format (default text)")
+        p.add_argument("--out", type=Path, default=None,
+                       help="write output to this file instead of stdout")
     return parser
 
 
@@ -458,7 +392,12 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
+        text = args.handler(args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            args.out.write_text(text, encoding="utf-8")
+        return 0
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -244,28 +244,32 @@ def case_study(cfg: NetworkConfig, p_a: float, n_bc: int, c: float,
     required value means the attack pays for itself at any transaction
     value ("always profitable"), an infinite one means no value suffices.
     """
-    gamma = resolve_gamma(cfg)
-    beta = cfg.beta_per_block
-    unbounded = c == math.inf or c is INFINITE
-    if unbounded:
-        t_cut: object = INFINITE
+    if c == math.inf or c is INFINITE:
+        c, t_cut = math.inf, INFINITE
+    elif not (isinstance(c, (int, float)) and c > 0):
+        raise DomainError(f"cut-time multiplier must be positive, got {c!r}")
     else:
-        if not (isinstance(c, (int, float)) and c > 0):
-            raise DomainError(f"cut-time multiplier must be positive, got {c!r}")
-        t_cut = float(c) * n_bc * cfg.block_time_seconds
+        c = float(c)
+        t_cut = c * n_bc * cfg.block_time_seconds
     spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=t_cut, lambda_h=cfg.lambda_h)
-    model = EconomicModel(gamma=gamma, beta=beta)
+    return _case_report(cfg, spec, c, tol)
+
+
+def _case_report(cfg: NetworkConfig, spec: AttackSpec, c: float,
+                 tol: float) -> dict[str, object]:
+    """case_study's report for a spec on cfg's clock; c is only echoed."""
+    model = EconomicModel(gamma=resolve_gamma(cfg), beta=cfg.beta_per_block)
     p_as, e_tas = _conditional_moments(spec, tol)
     c_req = _required(model, spec, p_as, e_tas)
     return {
         "network": cfg.name,
-        "p_a": p_a,
-        "n_bc": n_bc,
-        "c": math.inf if unbounded else float(c),
-        "t_cut_seconds": math.inf if unbounded else t_cut,
-        "lambda_h": cfg.lambda_h,
-        "gamma": gamma,
-        "beta": beta,
+        "p_a": spec.p_a,
+        "n_bc": spec.n_bc,
+        "c": c,
+        "t_cut_seconds": math.inf if spec.infinite_cut else spec.t_cut,
+        "lambda_h": spec.lambda_h,
+        "gamma": model.gamma,
+        "beta": model.beta,
         "mu": model.mu,
         "p_as": p_as,
         "e_tas_seconds": e_tas,

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from doublespend import AttackSpec, attack_success_prob
 from doublespend.cli import run
 
 BCH_CONF = """\
@@ -102,6 +103,17 @@ class TestSmoke:
                     "--format", "json"]) == 0
         _, result = _json_out(capsys)
         assert result["c"] == pytest.approx(4.0, rel=1e-12)
+
+    def test_case_study_cut_time_is_exact(self, bch_config, capsys):
+        # the time given is the time used, not c * nbc * block time
+        # rebuilt from c = time / (nbc * block time)
+        assert run(["case-study", "--config", bch_config, "--pa", "0.35",
+                    "--nbc", "6", "--cut-time", "7000.1",
+                    "--format", "json"]) == 0
+        _, result = _json_out(capsys)
+        assert result["t_cut_seconds"] == 7000.1
+        spec = AttackSpec(p_a=0.35, n_bc=6, t_cut=7000.1, lambda_h=1 / 600)
+        assert result["p_as"] == attack_success_prob(spec)
 
     def test_compare_premine(self, capsys):
         assert run(["compare-premine", "--pa", "0.35", "--nbc", "5",
@@ -234,6 +246,22 @@ class TestExitCodes:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert "lambda_h must be positive and finite" in err or "INFINITE" in err
+
+    @pytest.mark.parametrize("flag", ["--cut-mult=-inf", "--cut-time=-inf"])
+    @pytest.mark.parametrize("cmd", [
+        ["prob"], ["pdf"], ["expect-time"],
+        ["profit", "--gamma", "0.422", "--beta", "0.44"],
+        ["creq", "--gamma", "0.422", "--beta", "0.44"],
+        ["simulate", "--trials", "10", "--event-cap", "100"],
+        ["case-study", "--config", "CONFIG"],
+    ], ids=lambda cmd: cmd[0])
+    def test_negative_infinite_cut(self, cmd, flag, bch_config, capsys):
+        # -inf is a deadline before the start, not an unbounded attack
+        cmd = [bch_config if arg == "CONFIG" else arg for arg in cmd]
+        assert run(cmd + ["--pa", "0.35", "--nbc", "5", flag]) == 2
+        err = capsys.readouterr().err
+        assert ("t_cut must be a positive number of seconds" in err
+                or "multiplier must be positive" in err)
 
     @pytest.mark.parametrize("t_max", ["nan", "inf"])
     def test_nonfinite_t_max(self, t_max, capsys):
