@@ -109,7 +109,8 @@ def _resolve_lambda_h(args: argparse.Namespace) -> float:
     return 1.0 / _DEFAULT_BLOCK_TIME
 
 
-def _resolve_spec(args: argparse.Namespace, lambda_h: float | None = None) -> AttackSpec:
+def _resolve_spec(args: argparse.Namespace,
+                  lambda_h: float | None = None) -> AttackSpec:
     """The spec of the point flags; lambda_h defaults to the rate flags'.
     Only a +inf cut flag, or none at all, means an unbounded attack; any
     other value, -inf and nan included, goes to AttackSpec to be checked."""

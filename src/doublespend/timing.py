@@ -37,6 +37,8 @@ _TINY = 1e-300
 _MAX_FLOAT_NBC = 515
 _LN2 = math.log(2.0)
 _LN_MIN_NORMAL = math.log(sys.float_info.min)
+# a scaled lane below this is raised by 2^500, far above the subnormals
+_LANE_FLOOR = 2.0 ** -600
 
 
 def dsa_time_density(spec: AttackSpec, t: float, tol: float = 1e-12) -> float:
@@ -59,14 +61,21 @@ def _state_mass_iter(spec: AttackSpec):
     p_a*p_h per odd state, the confirmation-last lane by i/(i-n_bc+1) * p_a
     per state. Relative drift grows like (state count) * eps, far inside the
     certified-series budget; only the series summation uses this, the public
-    p_dsa_at_state keeps exact integer coefficients. Where the lanes' common
-    start exp((n_bc+1) ln p_a + n_bc ln p_h) is below the normal floats,
-    they run 2^s times larger, near e^-350, and their sum is scaled back
-    exactly by ldexp, so the ballot family keeps its precision at depth.
-    The confirmation-last lane has its own offset s2, started the same way
+    p_dsa_at_state keeps exact integer coefficients. The ballot lanes run
+    2^s times larger and their weighted sum is scaled back exactly by
+    ldexp. Where their common start exp((n_bc+1) ln p_a + n_bc ln p_h) is
+    below the normal floats, s starts it near e^-350; whenever the m = 0
+    lane, the smallest, falls below 2^-600, every lane is raised by 2^500
+    and s grows by 500. The lanes are read only after weighting by
+    binomials up to about 1e179, so unraised they would turn subnormal
+    while their masses are still normal, and stop decaying there (a
+    subnormal times its ratio can round back to itself). The
+    confirmation-last lane has its own offset s2, started the same way
     (its start is subnormal at p_a > 1/2 and deep n_bc, where it carries
-    nearly all the mass); as the lane grows, s2 moves back toward 0 in
-    exact steps of at most 2^500, so the scaled lane stays normal.
+    nearly all the mass) and raised the same way; as the lane grows, s2
+    moves back toward 0 in exact steps of at most 2^500. Powers of two are
+    exact, so a mass whose lanes were normal keeps its bits, and a mass
+    below the float range reads 0.
 
     The depth limit is checked at the call, so a caller that makes the
     iterator first refuses a deep spec before computing its totals.
@@ -105,12 +114,18 @@ def _state_masses(spec: AttackSpec):
                     / ((n + 1) * (n + m + 2)) * paph
                 )
             n += 1
+            if lanes[-1] < _LANE_FLOOR:  # the m = 0 lane is the smallest
+                lanes = [math.ldexp(lane, 500) for lane in lanes]
+                s += 500
         yield p_i
         t2 *= i / (i - n_bc + 1) * pa
         if s2 and t2 > 1.0:  # growing: move the offset back toward 0
             shift = min(s2, 500)
             t2 = math.ldexp(t2, -shift)
             s2 -= shift
+        elif t2 < _LANE_FLOOR:
+            t2 = math.ldexp(t2, 500)
+            s2 += 500
         i += 1
 
 

@@ -107,13 +107,19 @@ def ballot_number(n: int, m: int) -> int:
 
 @lru_cache(maxsize=None)
 def _ballot_coeff(n_bc: int, n: int) -> int:
-    # integer weight of the odd-state term: paths that confirm at state j
-    # (j = n_bc..2*n_bc ways to place the confirming blocks) and then first
-    # touch -1 after 2n + (2*n_bc - j) more steps, counted by ballot numbers
-    return sum(
-        math.comb(j - 1, n_bc - 1) * ballot_number(n, 2 * n_bc - j)
-        for j in range(n_bc, 2 * n_bc + 1)
-    )
+    # integer weight of the odd-state term: paths that confirm at state
+    # j = 2*n_bc - m, m = 0..n_bc (C(j-1, n_bc-1) ways to place the
+    # confirming blocks) and then first touch -1 after 2n + m more steps,
+    # ballot_number(n, m) = (m+1) C(2n+m, n) / (n+m+1) ways; both binomials
+    # step in m by exact integer ratios
+    confirm, walk = math.comb(2 * n_bc - 1, n_bc - 1), math.comb(2 * n, n)
+    total = 0
+    for m in range(n_bc + 1):
+        if m:
+            confirm = confirm * (n_bc - m + 1) // (2 * n_bc - m)
+            walk = walk * (2 * n + m) // (n + m)
+        total += confirm * (m + 1) * walk // (n + m + 1)
+    return total
 
 
 def p_dsa_at_state(spec: AttackSpec, i: int) -> float:

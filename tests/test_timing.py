@@ -119,6 +119,24 @@ def test_density_at_large_times():
     assert 0.0 <= dsa_time_density(spec, 5e5) <= 1e-300
 
 
+def test_density_underflows_at_large_times():
+    # the true density is far below the float range; stuck subnormal ballot
+    # lanes made it read 3.5e-321
+    spec = AttackSpec(p_a=0.35, n_bc=5, t_cut=INFINITE)
+    assert dsa_time_density(spec, 5e5) == 0.0
+
+
+def test_density_where_lanes_decay_from_normal():
+    # the ballot lanes start normal here and used to decay into the
+    # subnormals while their weighted masses were still normal; the density
+    # at t 1900 read 4.2e-145. The float Erlang pdf of the reference is
+    # itself about 1e-12 off at lambda_t * t near 2000, hence 2e-12.
+    spec = AttackSpec(p_a=0.2, n_bc=300, t_cut=INFINITE, lambda_h=1.0)
+    for t in (1200.0, 1900.0):
+        assert dsa_time_density(spec, t) == pytest.approx(
+            mixture_density(spec, t, terms=2400), rel=2e-12, abs=0)
+
+
 def test_density_matches_mixture_series():
     spec = AttackSpec(t_cut=12000.0, **BCH)
     for t in (400.0, 1800.0, 5200.0, 12000.0, 30000.0):
@@ -292,6 +310,19 @@ def test_state_masses_at_depth(p_a):
     masses = itertools.islice(timing._state_mass_iter(spec), 100)
     for i, mass in enumerate(masses, start=2 * spec.n_bc + 1):
         assert math.isclose(mass, p_dsa_at_state(spec, i), rel_tol=1e-12), i
+
+
+@pytest.mark.parametrize("p_a, n_bc, states", [
+    (0.2, 300, (1501, 2001, 2447)), (0.3, 400, (2001,))])
+def test_state_masses_where_lanes_decay_from_normal(p_a, n_bc, states):
+    # unscaled, the lanes turned subnormal and stopped decaying: every mass
+    # from about state 1500 on read 6.7e-145 at (0.2, 300)
+    spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE)
+    masses = list(itertools.islice(timing._state_mass_iter(spec),
+                                   max(states) - 2 * n_bc))
+    for i in states:
+        exact = p_dsa_at_state(spec, i)
+        assert math.isclose(masses[i - 2 * n_bc - 1], exact, rel_tol=1e-12), i
 
 
 def test_confirmation_last_lane_at_depth():

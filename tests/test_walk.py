@@ -11,6 +11,7 @@ from doublespend.timing import attack_success_prob
 from doublespend.walk import (
     INFINITE,
     AttackSpec,
+    _ballot_coeff,
     ballot_number,
     p_dsa,
     p_dsa_at_state,
@@ -54,6 +55,16 @@ def test_ballot_number_generating_function():
             series = sum(ballot_number(n, k) * x ** n for n in range(400))
             closed = (2.0 / (1.0 + math.sqrt(1.0 - 4.0 * x))) ** (k + 1)
             assert series == pytest.approx(closed, rel=1e-9)
+
+
+def test_ballot_coeff_matches_its_definition():
+    # the odd-state weight steps its binomials in m; the definition sums
+    # C(j-1, n_bc-1) * ballot(n, 2*n_bc - j) over j = n_bc..2*n_bc
+    for n_bc in (1, 2, 3, 7, 20):
+        for n in range(40):
+            assert _ballot_coeff(n_bc, n) == sum(
+                math.comb(j - 1, n_bc - 1) * ballot_number(n, 2 * n_bc - j)
+                for j in range(n_bc, 2 * n_bc + 1)), (n_bc, n)
 
 
 def test_ballot_number_negative():
