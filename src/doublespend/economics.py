@@ -88,10 +88,20 @@ class EconomicModel:
 
 
 def _growth_factor(pairs: GrowthPairs | None, lambda_a: float, t: float) -> float:
+    """The growth factor of opex and reward at (lambda_a, t); checks both."""
+    if not (lambda_a >= 0.0 and t >= 0.0):  # nan fails both
+        raise DomainError(f"rate and time must be nonnegative, got {lambda_a}, {t}")
     if pairs is None:
         return 1.0
     (b1, a1), (b2, a2) = pairs
-    return (math.log(a1) / math.log(b1)) ** lambda_a * (math.log(a2) / math.log(b2)) ** t
+    try:
+        factor = (math.log(a1) / math.log(b1)) ** lambda_a \
+            * (math.log(a2) / math.log(b2)) ** t
+    except OverflowError:
+        factor = math.inf
+    if factor == math.inf and t < math.inf:
+        raise DomainError(f"the growth factor at t = {t} exceeds the float range")
+    return factor
 
 
 def opex(model: EconomicModel, lambda_a: float, t: float) -> float:
@@ -100,15 +110,11 @@ def opex(model: EconomicModel, lambda_a: float, t: float) -> float:
     gamma * lambda_a * t scaled by the cost growth factors (both exactly 1
     in the linear model).
     """
-    if lambda_a < 0.0 or t < 0.0:
-        raise DomainError("rate and time must be nonnegative")
     return model.gamma * lambda_a * t * _growth_factor(model.cost_growth, lambda_a, t)
 
 
 def reward(model: EconomicModel, lambda_a: float, t: float) -> float:
     """Mining reward earned over t seconds, the beta-side mirror of opex."""
-    if lambda_a < 0.0 or t < 0.0:
-        raise DomainError("rate and time must be nonnegative")
     return model.beta * lambda_a * t * _growth_factor(model.reward_growth, lambda_a, t)
 
 
@@ -220,6 +226,8 @@ def repeated_attack_projection(model: EconomicModel, spec: AttackSpec, n: int,
     p_as, e_tas = _success_moments(spec, tol)
     if n == 0:
         net = 0.0
+    elif _fails_forever(spec):  # p_as may underflow to 0, and 0 * -inf is nan
+        net = -math.inf
     else:
         net = n * p_as * (model.value - _required(model, spec, p_as, e_tas))
     return {

@@ -60,25 +60,17 @@ class NetworkConfig:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("network name must be non-empty")
-        for label in ("beta_per_block", "block_time_seconds"):
+        for label, caster in _CONFIG_KEYS.items():
             v = getattr(self, label)
-            if not isinstance(v, (int, float)) or not v > 0 or math.isinf(v):
-                raise ConfigError(f"{label} must be a positive finite number, got {v!r}")
-        for label in ("rental_price_per_hash", "network_hashrate"):
-            v = getattr(self, label)
-            if v is not None and (not isinstance(v, (int, float)) or v < 0
-                                  or math.isinf(v)):
-                raise ConfigError(
-                    f"{label} must be a nonnegative finite number, got {v!r}"
-                )
-        if self.gamma_override is not None and not (
-            isinstance(self.gamma_override, (int, float))
-            and 0 < self.gamma_override < math.inf
-        ):
-            raise ConfigError(
-                f"gamma_override must be a positive finite number, "
-                f"got {self.gamma_override!r}"
-            )
+            if caster is str or (v is None and label not in _REQUIRED_KEYS):
+                continue
+            market = label in ("rental_price_per_hash", "network_hashrate")
+            # bool is an int, and nan fails every comparison
+            valid = isinstance(v, (int, float)) and not isinstance(v, bool) \
+                and (0 <= v if market else 0 < v) and v < math.inf
+            if not valid:
+                kind = "nonnegative" if market else "positive"
+                raise ConfigError(f"{label} must be a {kind} finite number, got {v!r}")
         market = (self.rental_price_per_hash is not None
                   and self.network_hashrate is not None)
         if not market and self.gamma_override is None:

@@ -187,6 +187,15 @@ class TestExitCodes:
                     "--gamma", "0.422"]) == 2
         assert "together" in capsys.readouterr().err
 
+    def test_market_gamma_nan_price(self, tmp_path, capsys):
+        # a nan price used to print gamma nan and exit 0
+        conf = tmp_path / "nan.conf"
+        conf.write_text("name = bch\nbeta_per_block = 0.44\n"
+                        "block_time_seconds = 600\nrental_price_per_hash = nan\n"
+                        "network_hashrate = 2.35e18\n", encoding="utf-8")
+        assert run(["market-gamma", "--config", str(conf)]) == 2
+        assert "rental_price_per_hash" in capsys.readouterr().err
+
     def test_compare_premine_p_dsa_underflow(self, capsys):
         assert run(["compare-premine", "--pa", "0.05", "--nbc", "500"]) == 2
         assert "p_dsa underflows" in capsys.readouterr().err

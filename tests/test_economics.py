@@ -19,6 +19,7 @@ from doublespend.economics import (
 from doublespend.errors import DomainError, SingularityError, \
     UnsupportedAnalyticError
 from doublespend.reporting import NetworkConfig, build_resource_table, case_study
+from doublespend.simulate import estimate_profit
 from doublespend.timing import attack_success_prob, expected_success_time
 from doublespend.walk import INFINITE, AttackSpec
 
@@ -90,6 +91,26 @@ def test_pointwise_opex_nonlinear_growth():
     assert opex(base, lam_a, 200.0) == pytest.approx(2 * opex(base, lam_a, 100.0))
 
 
+@pytest.mark.parametrize("lam_a, t", [(math.nan, 600.0), (0.001, math.nan)])
+def test_pointwise_opex_and_reward_reject_nan(lam_a, t):
+    # nan passed the sign check and came back as a nan cost
+    for f in (opex, reward):
+        with pytest.raises(DomainError, match="nonnegative"):
+            f(BCH_MODEL, lam_a, t)
+
+
+def test_growth_factor_overflow_is_typed():
+    # (ln 3 / ln 2)^t overflows at the paper's time scale; it raised a raw
+    # OverflowError from inside the Monte Carlo profit estimate
+    model = EconomicModel(gamma=0.422, beta=0.44, value=10.0,
+                          cost_growth=((2.0, 3.0), (2.0, 3.0)))
+    with pytest.raises(DomainError, match="t = 12000"):
+        opex(model, 0.001, 12000.0)
+    with pytest.raises(DomainError, match="growth factor"):
+        estimate_profit(model, AttackSpec(p_a=0.35, n_bc=5, t_cut=12000.0,
+                                          lambda_h=1 / 600), 10, 1)
+
+
 def test_expected_opex_case_study_anchor():
     assert expected_opex(BCH_MODEL, BCH_SPEC) == pytest.approx(3.98, rel=0.01)
 
@@ -152,6 +173,17 @@ def test_unbounded_subhalf_attack_requires_infinite_value():
     assert required_value(model, spec) == math.inf
     at_any = EconomicModel(gamma=1.0, beta=1.04, value=1e9)
     assert expected_profit(at_any, spec) == -math.inf
+
+
+def test_projection_where_p_dsa_underflows():
+    # p_dsa is below the float range at (0.05, 500): n * 0.0 * (value - inf)
+    # read nan, while expected_profit reads -inf for the same attack
+    model = EconomicModel(gamma=0.422, beta=0.44, value=10.0)
+    spec = AttackSpec(p_a=0.05, n_bc=500, t_cut=INFINITE)
+    assert expected_profit(model, spec) == -math.inf
+    assert repeated_attack_projection(model, spec, 3)["expected_net_profit"] \
+        == -math.inf
+    assert repeated_attack_projection(model, spec, 0)["expected_net_profit"] == 0.0
 
 
 @pytest.mark.parametrize("n_bc", [100, 530])

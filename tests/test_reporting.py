@@ -104,6 +104,21 @@ class TestNetworkConfig:
             NetworkConfig(name="x", beta_per_block=1.0,
                           block_time_seconds=600, gamma_override=-0.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("beta_per_block", math.nan), ("block_time_seconds", math.nan),
+        ("block_time_seconds", True), ("rental_price_per_hash", math.nan),
+        ("network_hashrate", math.nan), ("network_hashrate", True),
+        ("gamma_override", math.nan), ("gamma_override", True),
+    ])
+    def test_rejects_nan_and_bool(self, field, value):
+        # nan passed the sign and isinf checks, and bool is an int
+        fields = dict(name="x", beta_per_block=0.44, block_time_seconds=600.0,
+                      rental_price_per_hash=1e-21, network_hashrate=1e18,
+                      gamma_override=0.422)
+        fields[field] = value
+        with pytest.raises(ConfigError, match=field):
+            NetworkConfig(**fields)
+
     def test_override_takes_precedence(self):
         cfg = NetworkConfig(name="x", beta_per_block=1.0,
                             block_time_seconds=600,
