@@ -33,10 +33,8 @@ _DEFAULT_SEED = 0
 
 def _cut_float(text: str) -> float:
     """Parse --cut-time / --cut-mult: a number, or 'inf' for an unbounded cut."""
-    if text.strip().lower() in ("inf", "infinite", "infinity"):
-        return math.inf
-    try:
-        return float(text)
+    try:  # float() reads 'inf' and 'infinity' itself
+        return math.inf if text.strip().lower() == "infinite" else float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a number or 'inf', got {text!r}"
