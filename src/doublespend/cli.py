@@ -14,7 +14,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 from .economics import EconomicModel, expected_profit, required_value
 from .errors import ConvergenceError, DoubleSpendError
@@ -299,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, handler, help_text: str) -> argparse.ArgumentParser:
+    def command(name: str, handler: Callable[[argparse.Namespace], str],
+                help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         return p
@@ -319,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "conditional mean success time"))
     _add_point_flags(command("profit", _cmd_profit, "expected attack profit"),
                      economics=True)
-    _add_point_flags(command("creq", _cmd_creq, "transaction value required "
-                                                "for profitability"),
+    _add_point_flags(command("creq", _cmd_creq,
+                             "transaction value required for profitability"),
                      economics=True)
 
     p = command("table", _cmd_table, "scaled resource table over a "
@@ -370,9 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", type=Path, default=None,
                    help="write one CSV row per trial to this file")
 
-    p = command("market-gamma", _cmd_market_gamma, "per-block operating cost "
-                                                   "implied by hashrate rental "
-                                                   "figures")
+    p = command("market-gamma", _cmd_market_gamma,
+                "per-block operating cost implied by hashrate rental figures")
     p.add_argument("--config", type=Path, required=True,
                    help="network config file (key = value lines)")
 
