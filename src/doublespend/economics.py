@@ -104,18 +104,29 @@ def _growth_factor(pairs: GrowthPairs | None, lambda_a: float, t: float) -> floa
     return factor
 
 
+def _pointwise(price: float, pairs: GrowthPairs | None, lambda_a: float,
+               t: float) -> float:
+    factor = _growth_factor(pairs, lambda_a, t)
+    if t == math.inf:
+        # the limit of price * lambda_a * t * factor: linear growth in t
+        # against a factor that decays (ratio below 1), stays or grows
+        return 0.0 if lambda_a == 0.0 or factor == 0.0 else math.inf
+    return price * lambda_a * t * factor
+
+
 def opex(model: EconomicModel, lambda_a: float, t: float) -> float:
     """Operating expense of attacking for t seconds at block rate lambda_a.
 
     gamma * lambda_a * t scaled by the cost growth factors (both exactly 1
-    in the linear model).
+    in the linear model). At t = inf, its limit: 0 where the time growth
+    ratio is below 1 (or lambda_a is 0), inf otherwise.
     """
-    return model.gamma * lambda_a * t * _growth_factor(model.cost_growth, lambda_a, t)
+    return _pointwise(model.gamma, model.cost_growth, lambda_a, t)
 
 
 def reward(model: EconomicModel, lambda_a: float, t: float) -> float:
     """Mining reward earned over t seconds, the beta-side mirror of opex."""
-    return model.beta * lambda_a * t * _growth_factor(model.reward_growth, lambda_a, t)
+    return _pointwise(model.beta, model.reward_growth, lambda_a, t)
 
 
 def _require_linear(model: EconomicModel, need_reward: bool) -> None:

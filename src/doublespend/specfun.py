@@ -1,12 +1,14 @@
-"""Numerical kernels: the regularized incomplete gamma function, the Erlang
-density and the generalized hypergeometric series pFq.
+"""Numerical kernels: the regularized incomplete gamma function, saddle-point
+binomial and Poisson terms, the Erlang density and the generalized
+hypergeometric series pFq.
 
-The Erlang-mixture series of `timing` runs on regularized_gamma_p; the
-Erlang density and the pFq series are the building blocks of the paper's
-closed-form density, which the tests keep as an oracle. Real arguments
-only. Stability where needed (log-gamma for factorials beyond 20!, scaled
-accumulation for series whose terms overflow long before their weighted sum
-does).
+The Erlang-mixture series of `timing` runs on regularized_gamma_p and
+poisson_term, and its state masses are seeded from stirlerr and scaled_pow;
+the Erlang density and the pFq series are the building blocks of the
+paper's closed-form density, which the tests keep as an oracle. Real
+arguments only. Stability where needed (Stirling's error and the deviance
+term instead of differences of large logarithms, scaled accumulation for
+series whose terms overflow long before their weighted sum does).
 """
 from __future__ import annotations
 
@@ -22,12 +24,98 @@ _PFQ_MAX_TERMS = 100_000
 
 
 # ---------------------------------------------------------------------------
+# saddle-point terms (C. Loader, "Fast and Accurate Computation of Binomial
+# Probabilities", 2000)
+# ---------------------------------------------------------------------------
+
+_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# stirlerr(n) for n = 1..15 (index 0 unused)
+_STIRLERR = (
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+)
+_S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
+
+
+def stirlerr(n: float) -> float:
+    """Stirling's error ln(n!) - (n + 1/2) ln n + n - ln sqrt(2 pi), n > 0.
+
+    A table for the integers up to 15, the asymptotic series beyond; other
+    n up to 15 go through lgamma. Small (1/(12 n)), so exp of a sum of these
+    terms carries no large-logarithm rounding.
+    """
+    if n <= 15.0:
+        k = int(n)
+        if k == n:
+            return _STIRLERR[k]
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _LN_SQRT_2PI
+    nn = n * n
+    if n > 500.0:
+        return (_S0 - _S1 / nn) / n
+    if n > 80.0:
+        return (_S0 - (_S1 - _S2 / nn) / nn) / n
+    if n > 35.0:
+        return (_S0 - (_S1 - (_S2 - _S3 / nn) / nn) / nn) / n
+    return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / nn) / nn) / nn) / nn) / n
+
+
+def bd0(x: float, m: float) -> float:
+    """Deviance term x ln(x/m) + m - x >= 0 for x, m > 0, by a series in
+    v = (x-m)/(x+m) where x and m are close, so it keeps its relative
+    precision where the plain form cancels."""
+    if abs(x - m) < 0.1 * (x + m):
+        v = (x - m) / (x + m)
+        s = (x - m) * v
+        ej = 2.0 * x * v
+        v *= v
+        for j in range(3, 2000, 2):
+            ej *= v
+            s1 = s + ej / j
+            if s1 == s:
+                return s
+            s = s1
+    return x * math.log(x / m) + m - x
+
+
+def poisson_term(k: float, lam: float) -> float:
+    """e^-lam lam^k / Gamma(k+1) for k, lam >= 0, as
+    e^-(stirlerr(k) + bd0(k, lam)) / sqrt(2 pi k): about 1e-15 relative
+    near the mode at any size of k, where the log-space form loses
+    |k ln lam| * eps; in the far tails the error grows like bd0 * eps."""
+    if lam == 0.0:
+        return 1.0 if k == 0.0 else 0.0
+    if k == 0.0:
+        return math.exp(-lam)
+    return math.exp(-stirlerr(k) - bd0(k, lam)) / math.sqrt(2.0 * math.pi * k)
+
+
+def scaled_pow(x: float, k: int) -> tuple[float, int]:
+    """x**k as (m, e) with x**k = m * 2**e, for 0 < x <= 1 and an integer
+    k >= 0. One math.pow per chunk of k short enough that each partial
+    power stays above 2^-1000, so the result keeps its relative precision
+    (an ulp or so per chunk) far below the float range."""
+    lg = -math.log2(x)
+    chunk = k if lg * k <= 1000.0 else max(1, int(1000.0 / lg))
+    m, e = 1.0, 0
+    while k > 0:
+        c = min(k, chunk)
+        m, de = math.frexp(m * math.pow(x, c))
+        e += de
+        k -= c
+    return m, e
+
+
+# ---------------------------------------------------------------------------
 # regularized incomplete gamma
 # ---------------------------------------------------------------------------
 
 def _igam_prefactor(a: float, x: float) -> float:
-    # x^a e^-x / Gamma(a), in log space to survive large a or x
-    return math.exp(a * math.log(x) - x - math.lgamma(a))
+    # x^a e^-x / Gamma(a) = a * poisson_term(a, x), free of the large
+    # logarithms a ln x and lgamma(a)
+    return a * poisson_term(a, x)
 
 
 def _gamma_p_series(a: float, x: float) -> float:

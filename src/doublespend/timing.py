@@ -12,9 +12,12 @@ finite-cut pass gives the probability and the mean together, certified
 against the total mass and first moment of the state masses, both from one
 confirmation-race sum (walk._race); with no deadline that sum gives the
 probability and mean directly. sampling_grid walks the state masses once
-for a whole grid of times. The paper's closed-form density (a hypergeometric
-block plus an incomplete-gamma block) is kept in the tests as an oracle for
-this series.
+for a whole grid of times. The state masses cost O(1) work each at any
+depth: a three-term recurrence carries the overtake family and one ratio
+the confirmation-last family, both seeded from the saddle-point kernel of
+specfun (see _state_mass_iter). The paper's closed-form density (a
+hypergeometric block plus an incomplete-gamma block) is kept in the tests
+as an oracle for this series.
 """
 from __future__ import annotations
 
@@ -28,17 +31,23 @@ from .errors import (
     SingularityError,
     UndefinedExpectationError,
 )
-from .specfun import regularized_gamma_p
+from .specfun import poisson_term, regularized_gamma_p, scaled_pow, stirlerr
 from .walk import AttackSpec, _race, p_dsa
 
 _MIXTURE_CAP = 2_000_000
 _TINY = 1e-300
-# largest n_bc whose binomial weights C(j-1, n_bc-1), j <= 2*n_bc, fit in a float
-_MAX_FLOAT_NBC = 515
-_LN2 = math.log(2.0)
-_LN_MIN_NORMAL = math.log(sys.float_info.min)
-# a scaled lane below this is raised by 2^500, far above the subnormals
+# deepest n_bc served by the finite-cut series, a cost limit: the race
+# totals, the states up to lambda_t * t_cut and the pair seeds all grow with
+# n_bc; the slowest case, p_a = 1/2 at c 4, takes about 2 s at this depth
+_MAX_NBC = 20_000
+# binary exponent (of a mantissa in [0.5, 1)) of the smallest normal float
+_MIN_EXP = sys.float_info.min_exp
+# a scaled pair or lane below this is raised by 2^500, far above the subnormals
 _LANE_FLOOR = 2.0 ** -600
+# odd states between fresh seeds of the overtake family's recurrence pair
+_RESEED = 64
+# a mass whose binary exponent is below this rounds to 0
+_BELOW_FLOATS = -1080
 
 
 def dsa_time_density(spec: AttackSpec, t: float, tol: float = 1e-12) -> float:
@@ -54,69 +63,126 @@ def dsa_time_density(spec: AttackSpec, t: float, tol: float = 1e-12) -> float:
 
 
 def _state_mass_iter(spec: AttackSpec):
-    """Yield p_i for i = 2*n_bc + 1, 2*n_bc + 2, ... without big integers.
+    """Yield p_i for i = 2*n_bc + 1, 2*n_bc + 2, ... in O(1) work per state.
 
-    Float ratio recursions equivalent to p_dsa_at_state: the ballot-family
-    lanes advance by C(n+1,m)/C(n,m) = (2n+m+1)(2n+m+2)/((n+1)(n+m+2)) times
-    p_a*p_h per odd state, the confirmation-last lane by i/(i-n_bc+1) * p_a
-    per state. Relative drift grows like (state count) * eps, far inside the
-    certified-series budget; only the series summation uses this, the public
-    p_dsa_at_state keeps exact integer coefficients. The ballot lanes run
-    2^s times larger and their weighted sum is scaled back exactly by
-    ldexp. Where their common start exp((n_bc+1) ln p_a + n_bc ln p_h) is
-    below the normal floats, s starts it near e^-350; whenever the m = 0
-    lane, the smallest, falls below 2^-600, every lane is raised by 2^500
-    and s grows by 500. The lanes are read only after weighting by
-    binomials up to about 1e179, so unraised they would turn subnormal
-    while their masses are still normal, and stop decaying there (a
-    subnormal times its ratio can round back to itself). The
-    confirmation-last lane has its own offset s2, started the same way
-    (its start is subnormal at p_a > 1/2 and deep n_bc, where it carries
-    nearly all the mass) and raised the same way; as the lane grows, s2
-    moves back toward 0 in exact steps of at most 2^500. Powers of two are
-    exact, so a mass whose lanes were normal keeps its bits, and a mass
-    below the float range reads 0.
+    The same masses as p_dsa_at_state, from two float recursions; only the
+    series summation uses this, the public p_dsa_at_state keeps exact
+    integer coefficients.
+
+    The overtake family puts q(n) = W(n) p_a^(N+n+1) p_h^(N+n) on odd state
+    2N + 1 + 2n, N = n_bc, W(n) = walk._ballot_coeff(N, n). The weights obey
+    the three-term recurrence (creative telescoping; Petkovsek, Wilf and
+    Zeilberger, "A = B", 1996)
+
+      (n+2)(n+N+2)(n+N+3) W(n+2) = 2(n+N+2)(4n^2 + (4N+10)n + 5N+7) W(n+1)
+                                   - 4(n+N+1)(2n+1)(2n+2N+1) W(n),
+
+    so the pair (q(n), q(n+1)) steps in constant work. The recurrence has a
+    double characteristic root at 4, so a ratio error in the pair grows
+    linearly with the steps; every _RESEED odd states the pair is seeded
+    afresh from _ballot_seed, which costs O(n_bc) at most. q decreases in n
+    (W(n+1) < 4 W(n) and p_a p_h <= 1/4), so once a seed lies below the
+    float range the family is dropped for good. The pair runs 2^s times
+    larger, s set at each seed, and is raised by 2^500 whenever it falls
+    below 2^-600, so it never turns subnormal while its masses are normal.
+
+    The confirmation-last family puts C(i-1, n_bc-1) p_h^n_bc p_a^(i-n_bc)
+    on every state; its lane steps by i/(i-n_bc+1) * p_a per state under
+    its own offset s2, started near e^-350 where its start is below the
+    normal floats (at p_a > 1/2 and deep n_bc it carries nearly all the
+    mass) and raised the same way; as the lane grows, s2 moves back toward
+    0 in exact steps of at most 2^500. Powers of two are exact, so an
+    offset changes no bits, and a mass below the float range reads 0.
 
     The depth limit is checked at the call, so a caller that makes the
     iterator first refuses a deep spec before computing its totals.
     """
-    if spec.n_bc > _MAX_FLOAT_NBC:
+    if spec.n_bc > _MAX_NBC:
         raise DomainError(
-            f"n_bc = {spec.n_bc} exceeds {_MAX_FLOAT_NBC}, the largest "
-            f"confirmation count whose binomial weights fit in a float"
+            f"n_bc = {spec.n_bc} exceeds {_MAX_NBC}, the deepest confirmation "
+            f"count whose finite-cut series runs in seconds"
         )
     return _state_masses(spec)
+
+
+def _ballot_seed(n_bc: int, n: int, pa: float, ph: float) -> tuple[float, float, int]:
+    """(a, b, e) with q(n) = a * 2^e and q(n+1) = b * 2^e.
+
+    W(n) = C(2N-1, N-1) C(2n, n) / (n+1) * S(n), where S(n) = sum_m t_m sums
+    the m-terms of walk._ballot_coeff relative to the m = 0 term; each ratio
+    t_m / t_(m-1) is one correctly rounded integer division, and the ratios
+    fall in m, so the sum stops once its geometric tail is below 2^-60 of
+    it. C(2k, k) = 4^k exp(stirlerr(2k) - 2 stirlerr(k)) / sqrt(pi k) and
+    the powers come from scaled_pow, so no large logarithm is rounded.
+    q(n+1) = q(n) p_a p_h sum_m t_m H_m / S(n), H_m =
+    (2n+m+1)(2n+m+2) / ((n+1)(n+m+2)) being the exact step of the m-term
+    from n to n+1; weighting the same rounded t_m keeps the pair's ratio
+    within a few ulps, which the recurrence needs.
+    """
+    s0 = t0 = 1.0
+    u = s1 = (2 * n + 1) * (2 * n + 2) / ((n + 1) * (n + 2))
+    for m in range(1, n_bc + 1):
+        r0 = (n_bc - m + 1) * (m + 1) * (2 * n + m) / (
+            (2 * n_bc - m) * m * (n + m + 1))
+        t0 *= r0
+        u_next = t0 * ((2 * n + m + 1) * (2 * n + m + 2) / ((n + 1) * (n + m + 2)))
+        r1, u = u_next / u, u_next
+        s0 += t0
+        s1 += u
+        # the ratios of both sums' terms fall in m, and r1 > r0
+        if r1 < 1.0 and u * r1 <= (1.0 - r1) * s1 * 2.0 ** -60 and (
+                t0 * r0 <= (1.0 - r0) * s0 * 2.0 ** -60):
+            break
+    ma, ea = scaled_pow(pa, n_bc + n + 1)
+    mh, eh = scaled_pow(ph, n_bc + n)
+    a = (_central(n_bc) * _central(n) * s0 / (2 * (n + 1))) * ma * mh
+    b = a * (pa * ph) * (s1 / s0)
+    return a, b, ea + eh + 2 * (n_bc + n)
+
+
+def _central(k: int) -> float:
+    # C(2k, k) / 4^k
+    if k == 0:
+        return 1.0
+    return math.exp(stirlerr(2 * k) - 2.0 * stirlerr(k)) / math.sqrt(math.pi * k)
 
 
 def _state_masses(spec: AttackSpec):
     n_bc = spec.n_bc
     pa, ph = spec.p_a, spec.p_h
-    paph = pa * ph
-    binoms = [float(math.comb(j - 1, n_bc - 1)) for j in range(n_bc, 2 * n_bc + 1)]
-    ms = [2 * n_bc - j for j in range(n_bc, 2 * n_bc + 1)]
-    ln_pa, ln_ph = math.log(pa), math.log(ph)
-    lane0 = (n_bc + 1) * ln_pa + n_bc * ln_ph
-    s = 0 if lane0 >= _LN_MIN_NORMAL else math.ceil((-lane0 - 350.0) / _LN2)
-    lanes = [math.exp(lane0 + s * _LN2)] * len(binoms)
-    last0 = (math.log(math.comb(2 * n_bc, n_bc - 1))
-             + n_bc * ln_ph + (n_bc + 1) * ln_pa)
-    s2 = 0 if last0 >= _LN_MIN_NORMAL else math.ceil((-last0 - 350.0) / _LN2)
-    t2 = math.exp(last0 + s2 * _LN2)
+    r = pa * ph
+    # C(2N, N-1) p_h^N p_a^(N+1) = m * 2^e, C(2N, N-1) = 4^N c(N) N/(N+1)
+    ma, ea = scaled_pow(pa, n_bc + 1)
+    mh, eh = scaled_pow(ph, n_bc)
+    m, e = math.frexp(_central(n_bc) * n_bc / (n_bc + 1) * ma * mh)
+    e += ea + eh + 2 * n_bc
+    s2 = 0 if e >= _MIN_EXP else -505 - e  # else start near 2^-505 = e^-350
+    t2 = math.ldexp(m, e + s2)
+    ballot = True  # the overtake family is still inside the float range
+    a = b = 0.0
+    s = 0
     i = 2 * n_bc + 1
     n = 0
     while True:
         p_i = math.ldexp(t2, -s2) if s2 else t2
-        if (i - 2 * n_bc) % 2 == 1:
-            p_i += math.ldexp(sum(b * lane for b, lane in zip(binoms, lanes)), -s)
-            for idx, m in enumerate(ms):
-                lanes[idx] *= (
-                    (2 * n + m + 1) * (2 * n + m + 2)
-                    / ((n + 1) * (n + m + 2)) * paph
-                )
-            n += 1
-            if lanes[-1] < _LANE_FLOOR:  # the m = 0 lane is the smallest
-                lanes = [math.ldexp(lane, 500) for lane in lanes]
+        if ballot and (i - 2 * n_bc) % 2 == 1:
+            if n % _RESEED == 0:
+                a, b, e = _ballot_seed(n_bc, n, pa, ph)
+                s = -e
+                ballot = math.frexp(a)[1] + e >= _BELOW_FLOATS
+            p_i += math.ldexp(a, -s)
+            # the recurrence at n for q = W r^n * const, r = p_a p_h: one
+            # rounded r throughout, since r * r rounded apart from r splits
+            # the double root and the drift grows quadratically
+            nn = n + n_bc
+            c = (2 * (nn + 2) * (4 * n * n + (4 * n_bc + 10) * n + 5 * n_bc + 7) * b
+                 - 4 * (nn + 1) * (2 * n + 1) * (2 * nn + 1) * (r * a)
+                 ) * r / ((n + 2) * (nn + 2) * (nn + 3))
+            a, b = b, max(c, 0.0)
+            if b < _LANE_FLOOR:
+                a, b = math.ldexp(a, 500), math.ldexp(b, 500)
                 s += 500
+            n += 1
         yield p_i
         t2 *= i / (i - n_bc + 1) * pa
         if s2 and t2 > 1.0:  # growing: move the offset back toward 0
@@ -148,8 +214,10 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, density: bool,
       f     = sum_i p_i * erlang_pdf(i, lambda_t, t_cut)
 
     The Erlang CDFs advance by P(i+1, x) = P(i, x) - u_i, with
-    u_i = e^-x x^i / i!, reset from the incomplete-gamma evaluator every 64
-    states to cancel additive drift; erlang_pdf(i) = lambda_t * u_(i-1).
+    u_i = e^-x x^i / i!; every 64 states the CDF is reset from the
+    incomplete-gamma evaluator and u_i from specfun.poisson_term (Loader's
+    saddle-point form, free of large logarithms), to cancel drift;
+    erlang_pdf(i) = lambda_t * u_(i-1).
     Truncation is certified against the closed-form totals: the CDF
     decreases in the stage count i at fixed t, so the remaining p_as mass
     after state I is at most P(I+1, x) * (total_mass - accumulated p-mass).
@@ -179,10 +247,8 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, density: bool,
     cdf = regularized_gamma_p(float(i0), x)
     if cdf <= 0.0 and (x == 0.0 or not density):
         return 0.0, 0.0  # not even the earliest state fits before t_cut
-    log_u = i0 * math.log(x) - x - math.lgamma(i0 + 1)
-    u = math.exp(log_u) if log_u > -745.0 else 0.0
-    log_w = (i0 - 1) * math.log(x) - x - math.lgamma(i0)
-    w = math.exp(log_w) if log_w > -745.0 else 0.0  # u_(i-1) at state i
+    u = poisson_term(i0, x)
+    w = poisson_term(i0 - 1, x)  # u_(i-1) at state i
     acc_p = acc_t = acc_d = 0.0
     p_as = None
     mass_seen = moment_seen = 0.0
@@ -202,8 +268,7 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, density: bool,
         steps += 1
         if steps % 64 == 0 or cdf_next <= 1e-280:
             cdf_next = regularized_gamma_p(i + 1.0, x)
-            log_u = (i + 1) * math.log(x) - x - math.lgamma(i + 2)
-            u = math.exp(log_u) if log_u > -745.0 else 0.0
+            u = poisson_term(i + 1, x)
             bound = cdf_next * max(total_mass - mass_seen, 0.0)
             if bound <= tol * max(acc_p, _TINY):
                 if p_as is None:

@@ -1,0 +1,63 @@
+"""Oracles for the per-state masses and the finite-cut moments.
+
+- exact_mass: the mass of state i at 40 digits in mpmath, from the exact
+  integer weights of walk._ballot_coeff and math.comb.
+- walk_dp_cut: the finite-cut success probability and mean arrival count by
+  a forward dynamic program over the block-arrival walk, which shares no
+  formula with the package: after i arrivals the state is the honest count
+  h, and a path is absorbed the first time h >= n_bc and i - h > h. The DP
+  runs in extended precision (numpy longdouble, 64-bit mantissa and a range
+  to 1e-4951 on x86-64, so no rescaling is needed); the Erlang CDFs come from
+  one mpmath incomplete gamma and the recursion P(i+1, x) = P(i, x) -
+  e^-x x^i / i! at 40 digits.
+"""
+from __future__ import annotations
+
+import math
+
+import mpmath
+import numpy as np
+
+from doublespend.walk import _ballot_coeff
+
+
+def exact_mass(p_a: float, n_bc: int, i: int) -> mpmath.mpf:
+    """First-achievement mass at state i, p_h = 1 - p_a as a float."""
+    with mpmath.workdps(40):
+        pa, ph = mpmath.mpf(p_a), mpmath.mpf(1.0 - p_a)
+        mass = math.comb(i - 1, n_bc - 1) * ph ** n_bc * pa ** (i - n_bc)
+        if (i - 2 * n_bc - 1) % 2 == 0:
+            n = (i - 2 * n_bc - 1) // 2
+            mass += _ballot_coeff(n_bc, n) * pa ** (n_bc + n + 1) * ph ** (n_bc + n)
+        return +mass
+
+
+def walk_dp_cut(p_a: float, n_bc: int, x: float) -> tuple[float, float]:
+    """(p_as, E_TAS * lambda_t) for the cut at x = lambda_t * t_cut, summing
+    the states up to x + 40 sqrt(x) (P(i, x) is below e^-700 beyond)."""
+    p_h = 1.0 - p_a
+    i_max = 2 * n_bc + 1 + int(x + 40.0 * math.sqrt(x))
+    pa, ph = np.longdouble(p_a), np.longdouble(p_h)
+    alive = np.zeros(i_max + 1, dtype=np.longdouble)  # by honest count h
+    alive[0] = 1.0
+    masses = []  # (state, mass)
+    for i in range(1, i_max + 1):
+        alive[1:i + 1] = alive[1:i + 1] * pa + alive[:i] * ph
+        alive[0] *= pa
+        hi = (i - 1) // 2  # absorbed: n_bc <= h and 2h < i
+        if hi >= n_bc:
+            masses.append((i, alive[n_bc:hi + 1].sum()))
+            alive[n_bc:hi + 1] = 0.0
+    with mpmath.workdps(40):
+        xm = mpmath.mpf(x)
+        i0 = masses[0][0]
+        cdf = mpmath.gammainc(i0, 0, xm, regularized=True)
+        u = mpmath.exp(i0 * mpmath.log(xm) - xm - mpmath.loggamma(i0 + 1))
+        p_as = moment = mpmath.mpf(0)
+        for i, q in masses:
+            mass = mpmath.mpf(float(q))
+            cdf_next = cdf - u
+            p_as += mass * cdf
+            moment += mass * i * cdf_next
+            cdf, u = cdf_next, u * xm / (i + 1)
+        return float(p_as), float(moment / p_as)

@@ -1,11 +1,15 @@
 """End-to-end command-line tests driven through run()."""
 
 import json
+import math
 
 import pytest
 
-from doublespend import AttackSpec, attack_success_prob
+from doublespend import AttackSpec, attack_success_prob, timing
 from doublespend.cli import run
+from mass_oracles import walk_dp_cut
+
+DEEPEST = str(timing._MAX_NBC + 1)
 
 BCH_CONF = """\
 name = bch
@@ -219,15 +223,31 @@ class TestExitCodes:
         assert "must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["prob", "--pa", "0.35", "--nbc", "530", "--cut-mult", "4"],
-        ["expect-time", "--pa", "0.35", "--nbc", "530", "--cut-mult", "4"],
-        ["pdf", "--pa", "0.35", "--nbc", "530", "--points", "2"],
-        ["table", "--nbc", "530", "--pa", "0.35", "--cut-mult", "4"],
+        ["prob", "--pa", "0.35", "--nbc", DEEPEST, "--cut-mult", "4"],
+        ["expect-time", "--pa", "0.35", "--nbc", DEEPEST, "--cut-mult", "4"],
+        ["pdf", "--pa", "0.35", "--nbc", DEEPEST, "--points", "2"],
+        ["table", "--nbc", DEEPEST, "--pa", "0.35", "--cut-mult", "4"],
     ], ids=lambda argv: argv[0] + " " + argv[-1])
-    def test_confirmations_beyond_float_limit(self, argv, capsys):
+    def test_confirmations_beyond_depth_limit(self, argv, capsys):
         assert run(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: n_bc = 530 exceeds 515")
+        assert err.startswith(f"error: n_bc = {DEEPEST} exceeds {timing._MAX_NBC}, ")
+        assert "in seconds" in err
+
+    def test_confirmations_past_the_float_binomials(self, capsys):
+        # n_bc 530 exited 2 while float binomials weighted the ballot lanes;
+        # the walk DP shares no formula with the series
+        point = ["--pa", "0.45", "--nbc", "530", "--cut-mult", "4",
+                 "--lambda-h", "1", "--tol", "1e-13", "--format", "json"]
+        spec = AttackSpec(0.45, 530, 4.0 * 530)
+        p_as, arrivals = walk_dp_cut(0.45, 530, spec.lambda_t * spec.t_cut)
+        assert run(["prob", *point]) == 0
+        assert math.isclose(_json_out(capsys)[1]["p_as"], p_as, rel_tol=1e-12)
+        assert run(["expect-time", *point]) == 0
+        _, result = _json_out(capsys)
+        assert math.isclose(result["p_as"], p_as, rel_tol=1e-12)
+        assert math.isclose(result["e_tas_seconds"] * spec.lambda_t, arrivals,
+                            rel_tol=1e-12)
 
     @pytest.mark.parametrize("command", ["prob", "expect-time"])
     def test_unbounded_beyond_float_limit(self, command, capsys):

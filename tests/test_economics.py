@@ -111,6 +111,22 @@ def test_growth_factor_overflow_is_typed():
                                           lambda_h=1 / 600), 10, 1)
 
 
+@pytest.mark.parametrize("growth, limit", [
+    (((3.0, 2.0), (3.0, 2.0)), 0.0),   # ratio ln 2 / ln 3 < 1: decays
+    (((2.0, 2.0), (2.0, 2.0)), math.inf),
+    (((2.0, 3.0), (2.0, 3.0)), math.inf),
+    (None, math.inf),
+])
+def test_pointwise_opex_and_reward_at_infinite_time(growth, limit):
+    # gamma * lambda_a * inf * 0 read nan for a decaying growth factor; the
+    # value at t = inf is the limit in t
+    model = EconomicModel(gamma=1.0, beta=1.0, cost_growth=growth,
+                          reward_growth=growth)
+    for f in (opex, reward):
+        assert f(model, 0.001, math.inf) == limit
+        assert f(model, 0.0, math.inf) == 0.0
+
+
 def test_expected_opex_case_study_anchor():
     assert expected_opex(BCH_MODEL, BCH_SPEC) == pytest.approx(3.98, rel=0.01)
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,10 +9,14 @@ from scipy import special, stats
 from doublespend.errors import DomainError
 from doublespend.specfun import (
     HypergeomParams,
+    bd0,
     erlang_pdf,
     hypergeom_pfq,
     log_hypergeom_pfq,
+    poisson_term,
     regularized_gamma_p,
+    scaled_pow,
+    stirlerr,
 )
 from doublespend.walk import ballot_number
 
@@ -57,6 +62,73 @@ def test_gamma_p_upward_recurrence(a, x):
     assert regularized_gamma_p(a + 1.0, x) == pytest.approx(
         regularized_gamma_p(a, x) - term, rel=1e-10, abs=1e-14
     )
+
+
+@pytest.mark.parametrize("a,x", [(2001.0, 1900.0), (7000.0, 7273.0),
+                                 (1e5, 1e5 + 300.0), (1e5, 1e5 - 600.0)])
+def test_gamma_p_at_large_arguments(a, x):
+    # the prefactor x^a e^-x / Gamma(a) comes from the saddle-point kernel;
+    # from lgamma it lost |a ln x| * eps, 2.5e-10 at a = 1e5
+    with mpmath.workdps(50):
+        exact = mpmath.gammainc(a, 0, x, regularized=True)
+        assert abs(regularized_gamma_p(a, x) / exact - 1) <= 1e-12
+
+
+def _exact_stirlerr(n):
+    n = mpmath.mpf(n)
+    return mpmath.loggamma(n + 1) - (n + 0.5) * mpmath.log(n) + n \
+        - mpmath.log(2 * mpmath.pi) / 2
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 50, 80, 81, 100, 499, 500, 501,
+                               1e3, 1e4, 1e5, 1e6, 1e7, 15.5, 35.5, 80.5, 1e7 + 0.5])
+def test_stirlerr_against_mpmath(n):
+    # it enters exp() as an absolute term, so its absolute error is what
+    # counts: about an ulp of 1 at most (the series' truncation at n = 16)
+    with mpmath.workdps(50):
+        assert abs(stirlerr(n) - _exact_stirlerr(n)) <= 2e-16
+
+
+@pytest.mark.parametrize("n", [0.5, 2.5, 7.3, 14.9])
+def test_stirlerr_below_16_off_the_integers(n):
+    with mpmath.workdps(50):
+        assert abs(stirlerr(n) - _exact_stirlerr(n)) <= 1e-14
+
+
+@pytest.mark.parametrize("x", [1.0, 10.0, 1e3, 1e5, 1e7])
+@pytest.mark.parametrize("d", [-0.5, -0.15, -1e-3, -1e-9, 1e-9, 0.05, 0.15, 2.0])
+def test_bd0_against_mpmath(x, d):
+    m = x * (1.0 + d)
+    with mpmath.workdps(50):
+        exact = x * mpmath.log(x / mpmath.mpf(m)) + m - x
+        assert abs(bd0(x, m) / exact - 1) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [1, 10, 100, 10 ** 4, 10 ** 6, 10 ** 7])
+@pytest.mark.parametrize("z", [-5.0, -1.0, 0.0, 0.5, 3.0])
+def test_poisson_term_against_mpmath(k, z):
+    # e^-lam lam^k / k! with lam within a few standard deviations of k; in
+    # log space the term is |k ln lam| * eps off, 4e-9 at k = 1e7
+    lam = max(k + z * math.sqrt(k), 0.5)
+    with mpmath.workdps(50):
+        exact = mpmath.exp(k * mpmath.log(lam) - lam - mpmath.loggamma(k + 1))
+        assert abs(poisson_term(k, lam) / exact - 1) <= 1e-14
+
+
+def test_poisson_term_edges():
+    assert poisson_term(0, 2.0) == math.exp(-2.0)
+    assert poisson_term(0, 0.0) == 1.0
+    assert poisson_term(3, 0.0) == 0.0
+    assert poisson_term(10 ** 6, 10.0) == 0.0  # far below the float range
+
+
+@pytest.mark.parametrize("x", [0.05, 0.35, 0.5, 0.65, 0.99, 1.0 - 2.0 ** -40, 1.0])
+@pytest.mark.parametrize("k", [0, 1, 1000, 3500, 10 ** 5])
+def test_scaled_pow_against_mpmath(x, k):
+    m, e = scaled_pow(x, k)
+    with mpmath.workdps(50):
+        exact = mpmath.mpf(x) ** k
+        assert abs(mpmath.ldexp(m, e) / exact - 1) <= 1e-13
 
 
 ERLANG_CASES = [

@@ -2,6 +2,7 @@ import itertools
 import math
 from dataclasses import replace
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from doublespend.timing import (
 )
 from doublespend.walk import INFINITE, AttackSpec, p_dsa, p_dsa_at_state, \
     premine_success_prob
+from mass_oracles import exact_mass, walk_dp_cut
 from race_oracles import exact_mean_arrivals, exact_p_dsa, rel_error
 
 BCH = dict(p_a=0.35, n_bc=5, lambda_h=1 / 600)
@@ -275,18 +277,25 @@ def test_unbounded_mean_where_p_dsa_underflows():
     assert expected_success_time(spec) == e_tas
 
 
-def test_float_depth_limit():
-    # C(2 n_bc - 1, n_bc - 1) first overflows a float at n_bc = 516; only the
-    # finite-cut state walk uses those weights
-    assert math.isfinite(float(math.comb(2 * 515 - 1, 514)))
-    with pytest.raises(OverflowError):
-        float(math.comb(2 * 516 - 1, 515))
-    for n_bc in (515, 516, 1000):
-        spec = AttackSpec(p_a=0.35, n_bc=n_bc, t_cut=INFINITE)
-        e_tas = expected_success_time_inf(spec)
-        assert math.isfinite(e_tas) and e_tas >= (2 * n_bc + 1) / spec.lambda_t
-    with pytest.raises(DomainError, match="515"):
-        attack_success_prob(AttackSpec(p_a=0.35, n_bc=516, t_cut=2064.0))
+@pytest.mark.parametrize("p_a, n_bc, c", [
+    (0.45, 516, 4.0), (0.6, 700, 2.0), (0.45, 1000, 4.0)])
+def test_finite_cut_past_the_float_binomials(p_a, n_bc, c):
+    # C(2 n_bc - 1, n_bc - 1) overflows a float from n_bc 516 on, where the
+    # ballot lanes refused the spec; the walk DP shares no formula with the
+    # series. tol 1e-13 keeps the certified truncation inside the 1e-12.
+    spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=c * n_bc)
+    p_as, arrivals = walk_dp_cut(p_a, n_bc, spec.lambda_t * spec.t_cut)
+    assert math.isclose(attack_success_prob(spec, 1e-13), p_as, rel_tol=1e-12)
+    assert math.isclose(expected_success_time(spec, 1e-13) * spec.lambda_t,
+                        arrivals, rel_tol=1e-12)
+
+
+def test_depth_limit():
+    # a limit on cost, not on the float range: the deepest spec still starts
+    limit = timing._MAX_NBC
+    assert next(timing._state_mass_iter(AttackSpec(0.45, limit, 4.0 * limit))) > 0.0
+    with pytest.raises(DomainError, match=f"exceeds {limit}, .* in seconds"):
+        attack_success_prob(AttackSpec(p_a=0.45, n_bc=limit + 1, t_cut=4e5))
 
 
 def test_depth_limit_checked_before_totals(monkeypatch):
@@ -295,9 +304,9 @@ def test_depth_limit_checked_before_totals(monkeypatch):
     races = _call_counter(monkeypatch, "_race")
     totals = _call_counter(monkeypatch, "p_dsa")
     spec = AttackSpec(p_a=0.6, n_bc=10 ** 6, t_cut=4e6)
-    with pytest.raises(DomainError, match="515"):
+    with pytest.raises(DomainError, match=f"exceeds {timing._MAX_NBC}"):
         attack_success_prob(spec)
-    with pytest.raises(DomainError, match="515"):
+    with pytest.raises(DomainError, match=f"exceeds {timing._MAX_NBC}"):
         sampling_grid(spec, [1.0])
     assert races == totals == []
 
@@ -333,6 +342,59 @@ def test_confirmation_last_lane_at_depth():
     for i in [*range(700, 2001, 50), 1000, 2000]:
         exact = p_dsa_at_state(spec, i)
         assert math.isclose(masses[i - 501], exact, rel_tol=1e-12), i
+
+
+def _reseed_states(n_bc, last):
+    # odd states just before, at and just after each fresh seed of the
+    # recurrence pair, the even state after each, and the last state
+    states = {last}
+    for n in range(0, (last - 2 * n_bc - 1) // 2 + 1, timing._RESEED):
+        for k in (n - 1, n, n + 1):
+            i = 2 * n_bc + 1 + 2 * k
+            states.update(j for j in (i, i + 1) if 2 * n_bc < j <= last)
+    return sorted(states)
+
+
+@pytest.mark.parametrize("n_bc", [1, 5, 60, 500, 1000])
+def test_state_masses_against_exact_masses(n_bc):
+    for p_a in (0.05, 0.2, 0.35, 0.45, 0.5, 0.6, 0.9, 0.99):
+        spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE)
+        masses = list(itertools.islice(timing._state_mass_iter(spec),
+                                       3000 - 2 * n_bc))
+        for i in _reseed_states(n_bc, 3000):
+            exact, mass = exact_mass(p_a, n_bc, i), masses[i - 2 * n_bc - 1]
+            if exact > 1e-300:
+                assert abs(mass / exact - 1) <= 1e-12, (p_a, i)
+            else:  # below the normal floats: reads 0 or a subnormal
+                assert 0.0 <= mass <= 1e-299, (p_a, i)
+
+
+@pytest.mark.parametrize("p_a, n_bc", [(0.5, 5), (0.45, 60), (0.5, 200)])
+def test_state_masses_far_out(p_a, n_bc):
+    # the recurrence alone drifts 1e-11 to 1e-10 by n = 20,000 (its double
+    # root); the fresh seeds hold it near 1e-14
+    spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE)
+    masses = list(itertools.islice(timing._state_mass_iter(spec), 40_002))
+    for n in (3000, 10_000, 20_000):
+        i = 2 * n_bc + 1 + 2 * n
+        exact = exact_mass(p_a, n_bc, i)
+        assert abs(masses[i - 2 * n_bc - 1] / exact - 1) <= 1e-12, n
+
+
+def test_density_at_large_lambda_t():
+    # x = lambda_t * t = 800: the Erlang factor's log-gamma reset was 2.2e-13
+    # off here; the saddle-point reset keeps the density near 1e-14
+    spec = AttackSpec(p_a=0.8, n_bc=30, t_cut=INFINITE, lambda_h=1.0)
+    with mpmath.workdps(40):
+        x = mpmath.mpf(spec.lambda_t) * 160
+        i0 = 2 * spec.n_bc + 1
+        pdf = mpmath.exp((i0 - 1) * mpmath.log(x) - x - mpmath.loggamma(i0))
+        exact = mpmath.mpf(0)
+        for i in range(i0, i0 + 2000):  # the masses decay like 0.8^i
+            exact += exact_mass(spec.p_a, spec.n_bc, i) * pdf
+            pdf *= x / i
+        exact *= spec.lambda_t
+    assert abs(dsa_time_density(spec, 160.0) / exact - 1) <= 5e-14
 
 
 def test_success_prob_where_confirmation_decides():

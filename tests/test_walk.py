@@ -67,6 +67,18 @@ def test_ballot_coeff_matches_its_definition():
                 for j in range(n_bc, 2 * n_bc + 1)), (n_bc, n)
 
 
+def test_ballot_coeff_three_term_recurrence():
+    # the recurrence that steps the state masses of timing, exactly; and
+    # W(n+1) < 4 W(n), so with p_a p_h <= 1/4 the overtake masses decrease
+    for N in range(1, 61):
+        w = [_ballot_coeff(N, n) for n in range(302)]
+        for n in range(300):
+            assert (n + 2) * (n + N + 2) * (n + N + 3) * w[n + 2] == (
+                2 * (n + N + 2) * (4 * n * n + (4 * N + 10) * n + 5 * N + 7) * w[n + 1]
+                - 4 * (n + N + 1) * (2 * n + 1) * (2 * n + 2 * N + 1) * w[n]), (N, n)
+            assert w[n + 1] < 4 * w[n], (N, n)
+
+
 def test_ballot_number_negative():
     assert ballot_number(-1, 2) == 0
     assert ballot_number(2, -1) == 0
