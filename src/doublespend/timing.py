@@ -227,7 +227,8 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, density: bool,
     lambda_t. The first holds where the moment is infinite (p_a = 1/2); the
     second shrinks where x is large and the first cannot. Both remainders
     are clamped at 0, so the results are only as exact as the totals (the
-    race sums are within about 3e-13 relative). The density's far terms lie
+    race sums are within about 3e-13 relative at n_bc 1000 and 4e-12 at
+    20,000) and the masses (about 1e-13). The density's far terms lie
     below the rounding of the remaining mass, so its tail uses masses <= 1
     instead: u_j shrinks by x / (j+1) per stage, so once I + 1 > x the tail
     after state I is at most lambda_t * u_I * (I+1) / (I+1-x).
