@@ -291,11 +291,16 @@ def test_finite_cut_past_the_float_binomials(p_a, n_bc, c):
 
 
 def test_depth_limit():
-    # a limit on cost, not on the float range: the deepest spec still starts
+    # a limit on cost, not on the float range: the deepest spec still starts,
+    # and the unbounded quantities have no limit at all
     limit = timing._MAX_NBC
     assert next(timing._state_mass_iter(AttackSpec(0.45, limit, 4.0 * limit))) > 0.0
     with pytest.raises(DomainError, match=f"exceeds {limit}, .* in seconds"):
         attack_success_prob(AttackSpec(p_a=0.45, n_bc=limit + 1, t_cut=4e5))
+    for n_bc in (515, 516, 1000, limit + 1):
+        spec = AttackSpec(p_a=0.35, n_bc=n_bc, t_cut=INFINITE)
+        e_tas = expected_success_time_inf(spec)
+        assert math.isfinite(e_tas) and e_tas >= (2 * n_bc + 1) / spec.lambda_t
 
 
 def test_depth_limit_checked_before_totals(monkeypatch):
