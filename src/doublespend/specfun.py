@@ -127,7 +127,9 @@ def _gamma_p_series(a: float, x: float) -> float:
         n += 1.0
         term *= x / n
         total += term
-        if abs(term) < abs(total) * _IGAM_TOL:
+        # the later terms shrink at least geometrically, by x/(n+1) < 1, so
+        # their sum is below term / (1 - x/(n+1))
+        if term < total * _IGAM_TOL * (1.0 - x / (n + 1.0)):
             return total * _igam_prefactor(a, x)
     raise ConvergenceError("incomplete gamma series did not converge", total)
 

@@ -65,7 +65,8 @@ def test_gamma_p_upward_recurrence(a, x):
 
 
 @pytest.mark.parametrize("a,x", [(2001.0, 1900.0), (7000.0, 7273.0),
-                                 (1e5, 1e5 + 300.0), (1e5, 1e5 - 600.0)])
+                                 (1e5, 1e5 + 300.0), (1e5, 1e5 - 600.0),
+                                 (1e6, 1e6 + 3000.0), (1e6, 1e6 - 2000.0)])
 def test_gamma_p_at_large_arguments(a, x):
     # the prefactor x^a e^-x / Gamma(a) comes from the saddle-point kernel;
     # from lgamma it lost |a ln x| * eps, 2.5e-10 at a = 1e5
