@@ -6,17 +6,30 @@ attacker with probability p_a) and replays the walk until the attack
 achieves or the cut-time passes. It shares no code with the analytic modules
 beyond the AttackSpec type, which is what makes it an oracle.
 
-Reproducibility contract: trial k of a run seeded with master_seed draws
-from a counter-based stream keyed (master_seed, k), so results are
-bit-identical for identical (spec, trials, master_seed) regardless of
-execution order, and trials could be farmed out concurrently without
-reordering randomness. Aggregation is commutative sums only.
+Streams are counter-based (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11). A run seeded master_seed reads numpy's
+Philox4x64-10 under the key (master_seed, 0); the trial index k and the
+arrival index j pick the counter. One counter's block of four 64-bit words
+serves two arrivals, (w0, w1) then (w2, w3). With L0 the arrivals of the
+spec's first pass (`_first_chunks` * `_CHUNK`):
 
-Execution is batched: a block of trials is walked at once, each trial on
-its own stream, drawing exactly what it would draw walked alone, and the
-block is resolved with a few array operations. Summaries fold the trials
-in trial order, so they do not depend on the block size, and memory stays
-bounded whatever the trial count and event cap.
+- arrival j < L0 of trial k reads the counter k*L0/2 + j//2, a 128-bit
+  count in words 0 and 1 with words 2 and 3 zero;
+- arrival j >= L0 reads the counter (m, k, 1, 0), m = (j - L0)//2.
+
+An arrival's gap is the exponential inverse CDF -ln(u)/lambda_t with
+u = ((w0 >> 11) + 1) 2^-53, and the arrival is the attacker's when
+(w1 >> 11) 2^-53 < p_a. A trial's outcome thus depends only on the spec,
+the event cap, master_seed and k: results are bit-identical whatever the
+block size, run length or execution order, and trials could be farmed
+out concurrently without reordering randomness.
+
+Execution is batched. The first passes of a block of trials are one run
+of counters, so one draw covers them all, and the block is resolved with
+a few array operations; a trial still open then draws its later arrivals
+on its own. Summaries fold the trials in trial order, so they do not
+depend on the block size, and memory stays bounded whatever the trial
+count and event cap.
 """
 from __future__ import annotations
 
@@ -34,9 +47,10 @@ from .walk import AttackSpec
 
 _EVENT_CAP_DEFAULT = 10_000_000
 _CHUNK = 48
-# floats per array in one block of the batched walk
+# arrivals per array in one block of the batched walk
 _BLOCK_ELEMENTS = 16384
 _MAX_CHUNKS = _BLOCK_ELEMENTS // _CHUNK
+_WORD = 2 ** 64 - 1
 _ENUM_MAX_STATES = 24
 
 
@@ -115,15 +129,16 @@ def _cut_value(spec: AttackSpec) -> float:
 def simulate_one(spec: AttackSpec, stream_seed: int | tuple[int, int],
                  event_cap: int | None = None,
                  independent_clocks: bool = False) -> TrialOutcome:
-    """Run a single attempt on the stream keyed by stream_seed.
+    """Run trial k of the run seeded master_seed; stream_seed is (master_seed, k).
 
-    stream_seed is one 64-bit integer s, shorthand for the pair (s, 0), or
-    a (master_seed, trial_index) pair used verbatim as the two-word Philox
-    key. The attempt succeeds at the first
-    arrival where the honest chain has at least n_bc blocks and the attacker
-    chain is strictly longer, provided that arrival lands before the
-    cut-time; it fails when the cut-time passes first; with an unbounded cut
-    it is cut off (truncated) after event_cap arrivals.
+    A single 64-bit integer s is short for (s, 0). The trial draws what the
+    module docstring lays out for it, so it equals trial k of `estimate`
+    bit for bit. It succeeds at the first arrival where the honest chain
+    has at least n_bc blocks and the attacker chain is strictly longer,
+    provided that arrival lands before the cut-time; it fails when the
+    cut-time passes first; with an unbounded cut it is cut off (truncated)
+    after event_cap arrivals. With independent_clocks it instead races two
+    exponential clocks on a Generator over Philox keyed (master_seed, k).
 
     An unbounded cut with p_a < 0.5 requires an explicit event_cap: such a
     walk fails with positive probability only by running forever, so a trial
@@ -133,9 +148,7 @@ def simulate_one(spec: AttackSpec, stream_seed: int | tuple[int, int],
     if isinstance(stream_seed, tuple):
         key = tuple(_check_seed(word) for word in stream_seed)
         if len(key) != 2:
-            raise DomainError(
-                f"stream key must hold two 64-bit words, got {len(key)}"
-            )
+            raise DomainError(f"stream key must hold two 64-bit words, got {len(key)}")
     else:
         key = (_check_seed(stream_seed), 0)
     if independent_clocks:
@@ -167,109 +180,92 @@ def _first_chunks(spec: AttackSpec, event_cap: int) -> int:
 
 def _walk(spec: AttackSpec, master_seed: int, first: int, count: int,
           event_cap: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """Walk the trials keyed (master_seed, first + i) for i < count.
+    """Walk trials first .. first + count - 1 of the run seeded master_seed.
 
     Yields, block by block in trial order, the arrays (success, t_dsa,
     blocks_a, blocks_h, truncated); t_dsa is NaN where a trial did not
-    succeed. Each trial draws from its own stream exactly what a chunked
-    walk of one trial at a time draws: per chunk of up to _CHUNK arrivals,
-    the exponential gaps and then the attribution uniforms, the last chunk
-    shortened to the event cap. A block first draws the chunks that cover
-    the arrivals expected before the cut; trials still open continue with
-    twice as many chunks per pass. No array holds more than about
-    _BLOCK_ELEMENTS numbers.
+    succeed. Trials still open after the first pass go on with twice as
+    many arrivals per pass. No array holds more than about _BLOCK_ELEMENTS
+    arrivals.
     """
-    # one generator, re-keyed per trial through its state setter: counter
-    # 0, key (master_seed, k) and an empty buffer give the same stream as a
-    # fresh Philox(key=(master_seed, k)), without the entropy draw that a
-    # new instance makes and the key then discards. Plain lists make the
-    # setter's element reads cheaper than arrays do.
-    key = [master_seed, first]
-    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+    counter = [0, 0, 0, 0]
+    state = {"bit_generator": "Philox", "state": {"counter": counter, "key": [master_seed, 0]},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     bitgen = np.random.Philox()
-    gen = np.random.Generator(bitgen)
-    scratch = np.empty(_CHUNK)
 
-    def draw(trials, saved, events, pieces, gaps, uniforms):
-        # fills one row per trial; a trial that continues past its second
-        # pass resumes from its saved state
-        gaps_into, uniforms_into = gen.standard_exponential, gen.random
-        for gap_row, uniform_row, trial in zip(gaps, uniforms, trials):
-            state = saved.get(trial)
-            if state is None:
-                key[1] = trial
-                bitgen.state = fresh
-                # a trial open after its first pass replays that pass once
-                for _ in range(events // _CHUNK):
-                    gaps_into(out=scratch)
-                    uniforms_into(out=scratch)
-            else:
-                bitgen.state = state
-            for piece in pieces:
-                gaps_into(out=gap_row[piece])
-                uniforms_into(out=uniform_row[piece])
-            if events:
-                saved[trial] = bitgen.state
+    def draw(at: int, arrivals: int) -> np.ndarray:
+        # the words of `arrivals` arrivals from counter `at` on; numpy steps
+        # the counter before each block, so the state starts one below
+        below = (at - 1) % 2 ** 256
+        counter[:] = [below >> shift & _WORD for shift in (0, 64, 128, 192)]
+        bitgen.state = state
+        return bitgen.random_raw(2 * arrivals).reshape(arrivals, 2)
 
-    first_chunks = _first_chunks(spec, event_cap)
-    block_rows = max(1, _BLOCK_ELEMENTS // (first_chunks * _CHUNK))
-    for start in range(0, count, block_rows):
-        n = min(block_rows, count - start)
+    first_len = _first_chunks(spec, event_cap) * _CHUNK
+    block_rows = max(1, _BLOCK_ELEMENTS // first_len)
+    for start in range(first, first + count, block_rows):
+        n = min(block_rows, first + count - start)
         out = (np.zeros(n, dtype=bool), np.full(n, math.nan),
                np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
                np.zeros(n, dtype=bool))
         t_base = np.zeros(n)
         a_base = np.zeros(n, dtype=np.int64)
-        saved: dict[int, dict] = {}
-        open_rows = np.arange(n)
-        events = 0
-        chunks = first_chunks
+        words = draw(start * first_len // 2, n * first_len).reshape(n, first_len, 2)
+        events = min(first_len, event_cap)
+        open_rows = _settle(spec, words[:, :events], 0, event_cap, np.arange(n), out,
+                            t_base, a_base)
+        span = first_len
         while open_rows.size:
-            span = chunks * _CHUNK
+            span = min(2 * span, _MAX_CHUNKS * _CHUNK)
             drawn = min(span, event_cap - events)
-            pieces = [slice(lo, min(lo + _CHUNK, drawn)) for lo in range(0, drawn, _CHUNK)]
-            rows = max(1, _BLOCK_ELEMENTS // span)
+            rows = max(1, _BLOCK_ELEMENTS // drawn)
             still_open = []
             for lo in range(0, open_rows.size, rows):
                 pos = open_rows[lo:lo + rows]
-                gaps = np.zeros((pos.size, span))
-                uniforms = np.zeros((pos.size, span))
-                draw([first + start + p for p in pos.tolist()], saved, events, pieces,
-                     gaps, uniforms)
-                still_open.append(_settle(spec, gaps, uniforms, events, drawn, event_cap,
-                                          pos, out, t_base, a_base))
+                words = np.empty((pos.size, drawn, 2), dtype=np.uint64)
+                for row, p in zip(words, pos.tolist()):
+                    row[:] = draw((1 << 128) + ((start + p) << 64)
+                                  + (events - first_len) // 2, drawn)
+                still_open.append(_settle(spec, words, events, event_cap, pos, out,
+                                          t_base, a_base))
             open_rows = np.concatenate(still_open)
             events += drawn
-            chunks = min(2 * chunks, _MAX_CHUNKS, -(-(event_cap - events) // _CHUNK))
         yield out
 
 
-def _settle(spec: AttackSpec, gaps: np.ndarray, uniforms: np.ndarray, events: int,
-            drawn: int, event_cap: int, pos: np.ndarray, out: tuple[np.ndarray, ...],
-            t_base: np.ndarray, a_base: np.ndarray) -> np.ndarray:
-    """Resolve the rows drawn for the trials at block positions pos.
+def _settle(spec: AttackSpec, words: np.ndarray, events: int, event_cap: int,
+            pos: np.ndarray, out: tuple[np.ndarray, ...], t_base: np.ndarray,
+            a_base: np.ndarray) -> np.ndarray:
+    """Resolve the arrivals drawn for the trials at block positions pos.
 
-    Each row holds the next `drawn` arrivals of its trial, `events` arrivals
-    having gone before. A row stops at its first achieving arrival if that
-    comes before its first arrival at or after the cut, and otherwise fails
-    there. Outcomes go into out; rows that reach the event cap are
-    truncated. Returns the positions still open, whose last time and
-    attacker count are carried in t_base and a_base. gaps is overwritten.
+    Row r of words holds the two random words of each of the next arrivals
+    of the trial at pos[r], `events` arrivals having gone before. A row
+    stops at its first achieving arrival if that comes before its first
+    arrival at or after the cut, and otherwise fails there. Outcomes go
+    into out; rows that reach the event cap are truncated. Returns the
+    positions still open, whose last time and attacker count are carried
+    in t_base and a_base.
     """
     success, t_dsa, blocks_a, blocks_h, truncated = out
-    rows = gaps.shape[0]
-    # times chain chunk by chunk as base + cumsum(chunk), the base being the
-    # previous chunk's last time: one cumsum over the row would round
-    # differently. The gaps become the times in place, to keep the block's
-    # memory small.
-    gaps *= 1.0 / spec.lambda_t
-    within = gaps.reshape(rows, -1, _CHUNK)
-    np.cumsum(within, axis=2, out=within)
-    within += np.cumsum(np.column_stack([t_base[pos], within[:, :-1, -1]]), axis=1)[:, :, None]
-    times = gaps[:, :drawn]
-    # attacker blocks before each arrival (column 0) and after it
-    a_cum = np.column_stack([a_base[pos], uniforms[:, :drawn] < spec.p_a])
+    rows, drawn = words.shape[:2]
+    # the gap before an arrival is -ln(u)/lambda_t with u = ((w0 >> 11) + 1)
+    # 2^-53 in (0, 1]. Column 0 holds the time carried over, so the times
+    # are one running sum over the whole trial, wherever a pass ends.
+    times = np.empty((rows, drawn + 1))
+    times[:, 0] = t_base[pos]
+    gaps = times[:, 1:]
+    np.multiply((words[:, :, 0] >> 11) + 1, 2.0 ** -53, out=gaps)
+    np.log(gaps, out=gaps)
+    gaps /= -spec.lambda_t
+    np.cumsum(times, axis=1, out=times)
+    times = times[:, 1:]
+    # attacker blocks before each arrival (column 0) and after it. The
+    # arrival is the attacker's when (w1 >> 11) 2^-53 < p_a, that is when
+    # w1 < ceil(p_a 2^53) 2^11.
+    a_cum = np.empty((rows, drawn + 1), dtype=np.int64)
+    a_cum[:, 0] = a_base[pos]
+    np.less(words[:, :, 1], np.uint64(math.ceil(spec.p_a * 2 ** 53) << 11),
+            out=a_cum[:, 1:])
     np.cumsum(a_cum, axis=1, out=a_cum)
     arrivals = np.arange(events + 1, events + drawn + 1)
     # h = arrivals - a honest blocks: achieved when h >= n_bc and a > h

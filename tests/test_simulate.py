@@ -11,6 +11,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +35,14 @@ from doublespend import (
     reward,
     simulate_one,
 )
-from doublespend.simulate import _BLOCK_ELEMENTS, _CHUNK, _check_cap, _first_chunks
+from doublespend.simulate import (
+    _BLOCK_ELEMENTS,
+    _CHUNK,
+    _EVENT_CAP_DEFAULT,
+    TrialOutcome,
+    _check_cap,
+    _first_chunks,
+)
 
 BCH = AttackSpec(p_a=0.35, n_bc=5, t_cut=12000.0, lambda_h=1 / 600)
 SMALL = AttackSpec(p_a=0.35, n_bc=2, t_cut=4800.0, lambda_h=1 / 600)
@@ -72,6 +80,51 @@ class TestDeterminism:
             warnings.simplefilter("error")
             outs = {simulate_one(SMALL, 2 ** 63 + k) for k in range(10)}
         assert len(outs) > 5
+
+
+def test_philox_known_answer():
+    # Random123's published Philox4x64-10 block for counter 0, key 0. numpy
+    # steps the counter before each block, so the state starts at 2^256 - 1.
+    words = np.random.Philox(key=[0, 0], counter=[2 ** 64 - 1] * 4).random_raw(4)
+    assert [f"{w:016x}" for w in words.tolist()] == [
+        "16554d9eca36314c", "db20fe9d672d0fdc", "d7e772cee186176b", "7e68b68aec7ba23b"]
+
+
+def _hand_trial(spec, master_seed, k, event_cap):
+    """Trial k walked one arrival at a time from the documented counters."""
+    first_len = _first_chunks(spec, event_cap) * _CHUNK
+    cut = math.inf if spec.infinite_cut else spec.t_cut
+    t, a = 0.0, 0
+    for j in range(event_cap):
+        if j < first_len:
+            counter = k * first_len // 2 + j // 2
+        else:
+            counter = (j - first_len) // 2 + (k << 64) + (1 << 128)
+        philox = np.random.Philox(key=master_seed, counter=(counter - 1) % 2 ** 256)
+        w0, w1 = philox.random_raw(4).tolist()[2 * (j % 2):2 * (j % 2) + 2]
+        t += -np.log([((w0 >> 11) + 1) * 2.0 ** -53])[0] / spec.lambda_t
+        if t >= cut:
+            return TrialOutcome(False, None, a, j - a)
+        a += (w1 >> 11) * 2.0 ** -53 < spec.p_a
+        h = j + 1 - a
+        if h >= spec.n_bc and a > h:
+            return TrialOutcome(True, float(t), a, h)
+    return TrialOutcome(False, None, a, event_cap - a, truncated=True)
+
+
+@pytest.mark.parametrize("spec,event_cap", [
+    # first pass of 96 arrivals at counter k*48 + j//2
+    (AttackSpec(p_a=0.35, n_bc=5, t_cut=12000.0, lambda_h=1 / 600), None),
+    # first pass of 48 arrivals; every trial needs 61 or more, so it goes on
+    # to the counters (m, k, 1, 0)
+    (AttackSpec(p_a=0.45, n_bc=30, t_cut=INFINITE, lambda_h=1 / 600), 200),
+])
+@pytest.mark.parametrize("k", [0, 1, 2 ** 64 - 1])
+def test_counter_layout_by_hand(spec, event_cap, k):
+    # k = 2^64 - 1 carries the first-pass counter into word 1
+    seed = 2 ** 63 + 11
+    cap = _EVENT_CAP_DEFAULT if event_cap is None else event_cap
+    assert simulate_one(spec, (seed, k), event_cap) == _hand_trial(spec, seed, k, cap)
 
 
 class TestValidation:
@@ -213,6 +266,9 @@ BATCH_SPECS = [
     (AttackSpec(p_a=0.6, n_bc=3, t_cut=INFINITE, lambda_h=1 / 600), 130),
     (AttackSpec(p_a=0.3, n_bc=2, t_cut=INFINITE, lambda_h=1 / 600), 130),
     (AttackSpec(p_a=0.35, n_bc=5, t_cut=12000.0, lambda_h=1 / 600), None),
+    # every trial needs more arrivals than its 48-arrival first pass, so
+    # each goes on through several passes on the counters (m, k, 1, 0)
+    (AttackSpec(p_a=0.45, n_bc=30, t_cut=INFINITE, lambda_h=1 / 600), 1000),
 ]
 
 
