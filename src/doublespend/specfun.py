@@ -19,7 +19,7 @@ from typing import Sequence
 from .errors import ConvergenceError, DomainError
 
 _IGAM_TOL = 1e-14          # internal tolerance of the incomplete-gamma split
-_IGAM_MAX_ITER = 10_000
+_IGAM_MAX_ITER = 100_000
 _PFQ_MAX_TERMS = 100_000
 
 

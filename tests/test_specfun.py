@@ -66,12 +66,15 @@ def test_gamma_p_upward_recurrence(a, x):
 
 @pytest.mark.parametrize("a,x", [(2001.0, 1900.0), (7000.0, 7273.0),
                                  (1e5, 1e5 + 300.0), (1e5, 1e5 - 600.0),
-                                 (1e6, 1e6 + 3000.0), (1e6, 1e6 - 2000.0)])
+                                 (1e6, 1e6 + 3000.0), (1e6, 1e6 - 2000.0),
+                                 (2e6, 2e6)])
 def test_gamma_p_at_large_arguments(a, x):
     # the prefactor x^a e^-x / Gamma(a) comes from the saddle-point kernel;
-    # from lgamma it lost |a ln x| * eps, 2.5e-10 at a = 1e5
+    # from lgamma it lost |a ln x| * eps, 2.5e-10 at a = 1e5. Near x = a the
+    # series needs about 9 sqrt(a) terms, 13,000 at a = 2e6. mpmath's own
+    # lower series gives up there, so the reference is 1 - Q at 50 digits.
     with mpmath.workdps(50):
-        exact = mpmath.gammainc(a, 0, x, regularized=True)
+        exact = 1 - mpmath.gammainc(a, x, mpmath.inf, regularized=True)
         assert abs(regularized_gamma_p(a, x) / exact - 1) <= 1e-12
 
 
