@@ -148,7 +148,9 @@ def simulate_one(spec: AttackSpec, stream_seed: int | tuple[int, int],
     if isinstance(stream_seed, tuple):
         key = tuple(_check_seed(word) for word in stream_seed)
         if len(key) != 2:
-            raise DomainError(f"stream key must hold two 64-bit words, got {len(key)}")
+            raise DomainError(
+                f"stream key must hold two 64-bit words, got {len(key)}"
+            )
     else:
         key = (_check_seed(stream_seed), 0)
     if independent_clocks:
