@@ -250,13 +250,14 @@ def _settle(spec: AttackSpec, words: np.ndarray, events: int, event_cap: int,
     """
     success, t_dsa, blocks_a, blocks_h, truncated = out
     rows, drawn = words.shape[:2]
-    # the gap before an arrival is -ln(u)/lambda_t with u = ((w0 >> 11) + 1)
-    # 2^-53 in (0, 1]. Column 0 holds the time carried over, so the times
-    # are one running sum over the whole trial, wherever a pass ends.
+    # gap -ln(u)/lambda_t, u = ((w0 >> 11) + 1) 2^-53 in (0, 1], formed
+    # exactly as (w0 >> 11) 2^-53 + 2^-53. Column 0 carries the time so far,
+    # so the times are one running sum over the trial, wherever passes end.
     times = np.empty((rows, drawn + 1))
     times[:, 0] = t_base[pos]
     gaps = times[:, 1:]
-    np.multiply((words[:, :, 0] >> 11) + 1, 2.0 ** -53, out=gaps)
+    np.multiply(words[:, :, 0] >> 11, 2.0 ** -53, out=gaps)
+    gaps += 2.0 ** -53
     np.log(gaps, out=gaps)
     gaps /= -spec.lambda_t
     np.cumsum(times, axis=1, out=times)
