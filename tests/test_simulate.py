@@ -38,7 +38,6 @@ from doublespend import (
 from doublespend.simulate import (
     _BLOCK_ELEMENTS,
     _CHUNK,
-    _EVENT_CAP_DEFAULT,
     TrialOutcome,
     _check_cap,
     _first_chunks,
@@ -123,8 +122,8 @@ def _hand_trial(spec, master_seed, k, event_cap):
 def test_counter_layout_by_hand(spec, event_cap, k):
     # k = 2^64 - 1 carries the first-pass counter into word 1
     seed = 2 ** 63 + 11
-    cap = _EVENT_CAP_DEFAULT if event_cap is None else event_cap
-    assert simulate_one(spec, (seed, k), event_cap) == _hand_trial(spec, seed, k, cap)
+    by_hand = _hand_trial(spec, seed, k, _check_cap(spec, event_cap))
+    assert simulate_one(spec, (seed, k), event_cap) == by_hand
 
 
 class TestValidation:
