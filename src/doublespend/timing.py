@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 
 from .errors import (
     ConvergenceError,
@@ -40,9 +39,7 @@ _TINY = 1e-300
 # totals, the states up to lambda_t * t_cut and the pair seeds all grow with
 # n_bc; the slowest case, p_a = 1/2 at c 4, takes about 2 s at this depth
 _MAX_NBC = 20_000
-# binary exponent (of a mantissa in [0.5, 1)) of the smallest normal float
-_MIN_EXP = sys.float_info.min_exp
-# a scaled pair or lane below this is raised by 2^500, far above the subnormals
+# a scaled pair or lane that leaves [2^-600, 2^600] is put back into [1/2, 1)
 _LANE_FLOOR = 2.0 ** -600
 # odd states between fresh seeds of the overtake family's recurrence pair
 _RESEED = 64
@@ -82,17 +79,21 @@ def _state_mass_iter(spec: AttackSpec):
     linearly with the steps; every _RESEED odd states the pair is seeded
     afresh from _ballot_seed, which costs O(n_bc) at most. q decreases in n
     (W(n+1) < 4 W(n) and p_a p_h <= 1/4), so once a seed lies below the
-    float range the family is dropped for good. The pair runs 2^s times
-    larger, s set at each seed, and is raised by 2^500 whenever it falls
-    below 2^-600, so it never turns subnormal while its masses are normal.
+    float range the family is dropped for good.
 
     The confirmation-last family puts C(i-1, n_bc-1) p_h^n_bc p_a^(i-n_bc)
-    on every state; its lane steps by i/(i-n_bc+1) * p_a per state under
-    its own offset s2, started near e^-350 where its start is below the
-    normal floats (at p_a > 1/2 and deep n_bc it carries nearly all the
-    mass) and raised the same way; as the lane grows, s2 moves back toward
-    0 in exact steps of at most 2^500. Powers of two are exact, so an
-    offset changes no bits, and a mass below the float range reads 0.
+    on every state; its lane t2 steps by i/(i-n_bc+1) * p_a per state (at
+    p_a > 1/2 and deep n_bc it starts below the floats and carries nearly
+    all the mass).
+
+    Both families are carried as a float times 2^e, e an exact integer,
+    under one rule: when the lane, or the smaller value b of the pair
+    (a, b), leaves [2^-600, 2^600], math.frexp puts it back into [1/2, 1)
+    and e takes up the difference (a is scaled with b). The lane's ratio
+    per step is below 2, and a / b < 1 / (p_a p_h) < 2^542 while the
+    overtake family is in the float range, so nothing overflows or turns
+    subnormal. Powers of two are exact, so the scaling changes no bits:
+    each mass is one ldexp, and a mass below the float range reads 0.
 
     The depth limit is checked at the call, so a caller that makes the
     iterator first refuses a deep spec before computing its totals.
@@ -151,26 +152,22 @@ def _state_masses(spec: AttackSpec):
     n_bc = spec.n_bc
     pa, ph = spec.p_a, spec.p_h
     r = pa * ph
-    # C(2N, N-1) p_h^N p_a^(N+1) = m * 2^e, C(2N, N-1) = 4^N c(N) N/(N+1)
+    # C(2N, N-1) p_h^N p_a^(N+1) = t2 * 2^e2, C(2N, N-1) = 4^N c(N) N/(N+1)
     ma, ea = scaled_pow(pa, n_bc + 1)
     mh, eh = scaled_pow(ph, n_bc)
-    m, e = math.frexp(_central(n_bc) * n_bc / (n_bc + 1) * ma * mh)
-    e += ea + eh + 2 * n_bc
-    s2 = 0 if e >= _MIN_EXP else -505 - e  # else start near 2^-505 = e^-350
-    t2 = math.ldexp(m, e + s2)
+    t2, e2 = math.frexp(_central(n_bc) * n_bc / (n_bc + 1) * ma * mh)
+    e2 += ea + eh + 2 * n_bc
     ballot = True  # the overtake family is still inside the float range
     a = b = 0.0
-    s = 0
     i = 2 * n_bc + 1
     n = 0
     while True:
-        p_i = math.ldexp(t2, -s2) if s2 else t2
+        p_i = math.ldexp(t2, e2)
         if ballot and (i - 2 * n_bc) % 2 == 1:
             if n % _RESEED == 0:
                 a, b, e = _ballot_seed(n_bc, n, pa, ph)
-                s = -e
                 ballot = math.frexp(a)[1] + e >= _BELOW_FLOATS
-            p_i += math.ldexp(a, -s)
+            p_i += math.ldexp(a, e)
             # the recurrence at n for q = W r^n * const, r = p_a p_h: one
             # rounded r throughout, since r * r rounded apart from r splits
             # the double root and the drift grows quadratically
@@ -180,18 +177,14 @@ def _state_masses(spec: AttackSpec):
                  ) * r / ((n + 2) * (nn + 2) * (nn + 3))
             a, b = b, max(c, 0.0)
             if b < _LANE_FLOOR:
-                a, b = math.ldexp(a, 500), math.ldexp(b, 500)
-                s += 500
+                b, d = math.frexp(b)
+                a, e = math.ldexp(a, -d), e + d
             n += 1
         yield p_i
         t2 *= i / (i - n_bc + 1) * pa
-        if s2 and t2 > 1.0:  # growing: move the offset back toward 0
-            shift = min(s2, 500)
-            t2 = math.ldexp(t2, -shift)
-            s2 -= shift
-        elif t2 < _LANE_FLOOR:
-            t2 = math.ldexp(t2, 500)
-            s2 += 500
+        if not _LANE_FLOOR <= t2 <= 1.0 / _LANE_FLOOR:
+            t2, d = math.frexp(t2)
+            e2 += d
         i += 1
 
 
@@ -253,7 +246,6 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, density: bool,
     acc_p = acc_t = acc_d = 0.0
     p_as = None
     mass_seen = moment_seen = 0.0
-    steps = 0
     for i, p_i in enumerate(states, i0):
         cdf_next = cdf - u
         if cdf_next < 0.0:
@@ -266,8 +258,7 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, density: bool,
         else:
             moment_seen += i * p_i
             acc_t += p_i * (i / lam_t) * cdf_next
-        steps += 1
-        if steps % 64 == 0 or cdf_next <= 1e-280:
+        if (i + 1 - i0) % 64 == 0 or cdf_next <= 1e-280:
             cdf_next = regularized_gamma_p(i + 1.0, x)
             u = poisson_term(i + 1, x)
             bound = cdf_next * max(total_mass - mass_seen, 0.0)
@@ -283,16 +274,15 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, density: bool,
                 elif i + 1 > x and (
                         w * (i + 1) / (i + 1 - x) <= tol * max(acc_d, _TINY)):
                     return p_as, lam_t * acc_d
-            if steps >= _MIXTURE_CAP:
+            if i + 1 - i0 >= _MIXTURE_CAP:
                 raise ConvergenceError(
                     f"Erlang-mixture series did not converge within "
                     f"{_MIXTURE_CAP} states",
                     acc_p,
                 )
-            cdf = cdf_next
         else:
-            cdf = cdf_next
             u *= x / (i + 1)
+        cdf = cdf_next
     raise ConvergenceError("Erlang-mixture series terminated unexpectedly", acc_p)
 
 
