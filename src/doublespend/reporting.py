@@ -131,15 +131,12 @@ def gamma_from_market(cfg: NetworkConfig) -> float:
 
     price per hash x network hashrate x seconds per block = cost of renting
     the whole network's hashrate for one block interval. Falls back to
-    gamma_override when the market fields are absent; a zero market price
-    yields zero with a warning rather than an error.
+    gamma_override when the market fields are absent (NetworkConfig holds
+    one or the other); a zero market price yields zero with a warning
+    rather than an error.
     """
     if cfg.rental_price_per_hash is None or cfg.network_hashrate is None:
-        if cfg.gamma_override is not None:
-            return cfg.gamma_override
-        raise ConfigError(
-            "market fields absent and no gamma_override to fall back on"
-        )
+        return cfg.gamma_override
     gamma = cfg.rental_price_per_hash * cfg.network_hashrate \
         * cfg.block_time_seconds
     if gamma == 0.0:

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from doublespend import AttackSpec, attack_success_prob, timing
+from doublespend import (AttackSpec, ConvergenceError, attack_success_prob,
+                         timing)
 from doublespend.cli import run
 from mass_oracles import walk_dp_cut
 
@@ -163,6 +164,25 @@ class TestSmoke:
         _, result = _json_out(capsys)
         assert result["gamma"] == pytest.approx(0.422, rel=1e-12)
 
+    def test_market_gamma_of_override_only_config(self, bch_config, capsys):
+        # with no market fields the command reports the override
+        assert run(["market-gamma", "--config", bch_config,
+                    "--format", "json"]) == 0
+        _, result = _json_out(capsys)
+        assert result["gamma"] == 0.422
+
+    def test_case_study_of_market_only_config(self, tmp_path, capsys):
+        # with no override the case study prices blocks from the market
+        conf = tmp_path / "m.conf"
+        conf.write_text(
+            "name = bch\nbeta_per_block = 0.44\nblock_time_seconds = 600\n"
+            "rental_price_per_hash = 2.99e-22\nnetwork_hashrate = 2.35e18\n",
+            encoding="utf-8")
+        assert run(["case-study", "--config", str(conf), "--pa", "0.35",
+                    "--nbc", "5", "--cut-mult", "4", "--format", "json"]) == 0
+        _, result = _json_out(capsys)
+        assert result["gamma"] == 2.99e-22 * 2.35e18 * 600.0
+
 
 class TestExitCodes:
     def test_missing_cut_flag(self, capsys):
@@ -206,6 +226,31 @@ class TestExitCodes:
 
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--nbc", "1,x", "--pa", "0.3", "--cut-mult", "4"],
+        ["table", "--nbc", "1", "--pa", "0.3,y", "--cut-mult", "4"],
+        ["prob", "--pa", "0.35", "--nbc", "5", "--cut-mult", "soon"],
+        ["prob", "--pa", "0.35", "--nbc", "5", "--cut-mult", "4",
+         "--block-time", "0"],
+        ["pdf", "--pa", "0.35", "--nbc", "5", "--t-max", "-1"],
+        ["pdf", "--pa", "0.35", "--nbc", "5", "--points", "0"],
+    ], ids=" ".join)
+    def test_malformed_inputs(self, argv, capsys):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_series_cap_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(timing, "_MIXTURE_CAP", 64)
+        assert run(["prob", "--pa", "0.45", "--nbc", "5",
+                    "--cut-mult", "1e4"]) == 3
+        assert capsys.readouterr().err == (
+            "error: Erlang-mixture series did not converge within 64 states\n")
+        with pytest.raises(ConvergenceError) as exc:
+            attack_success_prob(AttackSpec(0.45, 5, 1e4 * 5))
+        assert 0.0 < exc.value.partial < 1.0
 
     def test_simulate_unbounded_without_cap(self, capsys):
         assert run(["simulate", "--pa", "0.35", "--nbc", "1",

@@ -158,6 +158,11 @@ class TestValidation:
         with pytest.raises(DomainError):
             simulate_one(SMALL, 1, event_cap=0)
 
+    def test_stream_key_of_three_words(self):
+        with pytest.raises(DomainError) as exc:
+            simulate_one(SMALL, (1, 2, 3))
+        assert str(exc.value) == "stream key must hold two 64-bit words, got 3"
+
     @pytest.mark.parametrize("cap", [2.5, 30.0, True])
     def test_event_cap_must_be_integer(self, cap):
         with pytest.raises(DomainError, match="event cap must be an integer"):
@@ -206,10 +211,12 @@ def test_vanishing_attacker_share_never_succeeds():
     assert math.isnan(summary.mean_tas)
 
 
-def test_truncation_counted_separately():
+@pytest.mark.parametrize("independent_clocks", [False, True])
+def test_truncation_counted_separately(independent_clocks):
     # cap far below the events needed to reach a distant cut-time
     far = AttackSpec(p_a=0.35, n_bc=2, t_cut=1e6, lambda_h=1 / 600)
-    summary = estimate(far, trials=50, master_seed=1, event_cap=10)
+    summary = estimate(far, trials=50, master_seed=1, event_cap=10,
+                       independent_clocks=independent_clocks)
     assert summary.truncated_trials > 0
     counted = summary.trials - summary.truncated_trials
     if counted:

@@ -362,7 +362,7 @@ def _reseed_states(n_bc, last):
 
 @pytest.mark.parametrize("n_bc", [1, 5, 60, 500, 1000])
 def test_state_masses_against_exact_masses(n_bc):
-    for p_a in (0.05, 0.2, 0.35, 0.45, 0.5, 0.6, 0.9, 0.99):
+    for p_a in (1e-4, 0.05, 0.2, 0.35, 0.45, 0.5, 0.6, 0.9, 0.99):
         spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE)
         masses = list(itertools.islice(timing._state_mass_iter(spec),
                                        3000 - 2 * n_bc))
