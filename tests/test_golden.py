@@ -63,6 +63,10 @@ def _cases() -> list[tuple[str, ...]]:
             ("pdf", *POINTS[2], "--points", "5", "--lambda-h", "0.01", *out),
             ("simulate", *POINTS[0], "--trials", "200", "--seed", "7", *out),
             ("simulate", *POINTS[2], "--trials", "200", "--seed", "7", *ECON, *out),
+            ("simulate", *POINTS[1], "--event-cap", "1000", "--trials", "200",
+             "--seed", "7", *out),
+            ("simulate", *POINTS[0], "--independent-clocks", "--trials", "200",
+             "--seed", "7", *out),
             ("compare-premine", "--pa", "0.35", "--nbc", "5", *out),
             ("compare-premine", "--pa", "0.6", "--nbc", "3", *out),
             ("market-gamma", "--config", "bch.conf", *out),
