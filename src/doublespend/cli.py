@@ -19,11 +19,11 @@ from typing import IO, Callable, Sequence
 from .economics import EconomicModel, expected_profit, required_value
 from .errors import ConvergenceError, DoubleSpendError
 from .reporting import _case_report, _requirement_assessment, build_resource_table, \
-    case_study, gamma_from_market, load_network_config, premine_comparison, \
-    render_record, render_rows, render_table
+    gamma_from_market, load_network_config, premine_comparison, render_record, \
+    render_rows, render_table
 from .simulate import estimate, estimate_profit
 from .timing import _conditional_moments, attack_success_prob, sampling_grid
-from .walk import INFINITE, AttackSpec
+from .walk import INFINITE, AttackSpec, _deadline
 
 _DEFAULT_BLOCK_TIME = 600.0
 _DEFAULT_TOL = 1e-12
@@ -89,39 +89,33 @@ def _add_point_flags(parser: argparse.ArgumentParser, *, economics: bool = False
         group.add_argument("--lambda-h", type=float, dest="lambda_h",
                            metavar="RATE", help="honest block rate in blocks/second")
         group.add_argument("--block-time", type=float, dest="block_time",
-                           metavar="SECONDS",
+                           default=_DEFAULT_BLOCK_TIME, metavar="SECONDS",
                            help="mean honest block interval in seconds "
                                 f"(default {_DEFAULT_BLOCK_TIME:g} when neither "
                                 "rate flag is given)")
 
 
-def _resolve_lambda_h(args: argparse.Namespace) -> float:
-    if args.lambda_h is not None:
-        return args.lambda_h
-    if args.block_time is not None:
-        if args.block_time <= 0:
-            raise DoubleSpendError(
-                f"block time must be positive, got {args.block_time}"
-            )
-        return 1.0 / args.block_time
-    return 1.0 / _DEFAULT_BLOCK_TIME
-
-
 def _resolve_spec(args: argparse.Namespace,
-                  lambda_h: float | None = None) -> AttackSpec:
-    """The spec of the point flags; lambda_h defaults to the rate flags'.
-    Only a +inf cut flag, or none at all, means an unbounded attack; any
-    other value, -inf and nan included, goes to AttackSpec to be checked."""
-    if lambda_h is None:
-        lambda_h = _resolve_lambda_h(args)
-    cut = args.cut_time if args.cut_mult is None else args.cut_mult
-    if cut is None or cut == math.inf:
-        t_cut: object = INFINITE
-    elif args.cut_mult is None:
-        t_cut = cut
+                  block_time: float | None = None) -> AttackSpec:
+    """The spec of the point flags on a clock of block_time seconds, by
+    default the rate flags': --block-time, or 1/--lambda-h (kept as given),
+    or 600 s. Only a +inf cut flag, or none at all, means an unbounded
+    attack; any other value, -inf and nan included, goes to AttackSpec to
+    be checked."""
+    lambda_h = None
+    if block_time is None:
+        lambda_h, block_time = args.lambda_h, args.block_time
+        for name, rate in (("lambda_h", lambda_h), ("block time", block_time)):
+            if rate is not None and not 0.0 < rate < math.inf:
+                raise DoubleSpendError(f"{name} must be positive and finite, got {rate}")
+        if lambda_h is not None:
+            block_time = 1.0 / lambda_h
+    if args.cut_mult is not None:
+        t_cut = _deadline(args.cut_mult, args.nbc, block_time)
     else:
-        t_cut = cut * args.nbc / lambda_h
-    return AttackSpec(p_a=args.pa, n_bc=args.nbc, t_cut=t_cut, lambda_h=lambda_h)
+        t_cut = INFINITE if args.cut_time in (None, math.inf) else args.cut_time
+    return AttackSpec(p_a=args.pa, n_bc=args.nbc, t_cut=t_cut,
+                      lambda_h=1.0 / block_time if lambda_h is None else lambda_h)
 
 
 def _spec_params(spec: AttackSpec, tol: float | None = None) -> dict[str, object]:
@@ -209,13 +203,11 @@ def _cmd_table(args: argparse.Namespace) -> str:
 
 def _cmd_case_study(args: argparse.Namespace) -> str:
     cfg = load_network_config(args.config)
-    if args.cut_time is None:
-        report = case_study(cfg, args.pa, args.nbc, args.cut_mult, args.tol)
-    else:
-        # the time given is the time used; c is only reported
-        spec = _resolve_spec(args, cfg.lambda_h)
-        c = args.cut_time / (args.nbc * cfg.block_time_seconds)
-        report = _case_report(cfg, spec, c, args.tol)
+    spec = _resolve_spec(args, cfg.block_time_seconds)
+    # a cut given in seconds is used as given; its c is only reported
+    c = args.cut_mult if args.cut_time is None \
+        else args.cut_time / (args.nbc * cfg.block_time_seconds)
+    report = _case_report(cfg, spec, c, args.tol)
     params = {"config": str(args.config), "tol": args.tol}
     return render_record(params, report, args.format)
 
@@ -232,6 +224,8 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
         raise DoubleSpendError(
             "--gamma and --beta must be given together for profit estimation"
         )
+    if args.independent_clocks and args.gamma is not None:
+        raise DoubleSpendError("--independent-clocks does not estimate profit")
     trace_handle: IO[str] | None = None
     try:
         if args.trace is not None:

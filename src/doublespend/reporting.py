@@ -27,7 +27,7 @@ from .economics import EconomicModel, _give_up_per_success, _opex, _required, \
     _runtime
 from .errors import ConfigError, DomainError
 from .timing import _conditional_moments
-from .walk import INFINITE, AttackSpec, p_dsa, premine_success_prob
+from .walk import INFINITE, AttackSpec, _deadline, p_dsa, premine_success_prob
 
 _CONFIG_KEYS = {
     "name": str,
@@ -197,7 +197,7 @@ def build_resource_table(n_bc_list: Sequence[int], p_a_list: Sequence[float],
     """Success/cost/requirement grid at cut-time c block intervals per
     confirmation.
 
-    Each cell fixes t_cut = c * n_bc / lambda_h and reports success
+    Each cell fixes t_cut = c * n_bc block intervals and reports success
     probability, conditional success time, expected operating cost, and the
     affine coefficients of the required transaction value, all in scaled
     units (see TableCell).
@@ -209,7 +209,7 @@ def build_resource_table(n_bc_list: Sequence[int], p_a_list: Sequence[float],
     cells = []
     for n_bc in n_bc_list:
         for p_a in p_a_list:
-            spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=float(c * n_bc),
+            spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=_deadline(c, n_bc, 1.0),
                               lambda_h=1.0)
             p_as, e_tas = _conditional_moments(spec, tol)
             ratio = spec.lambda_a  # p_a / p_h at lambda_h = 1
@@ -233,13 +233,12 @@ def case_study(cfg: NetworkConfig, p_a: float, n_bc: int, c: float,
     required value means the attack pays for itself at any transaction
     value ("always profitable"), an infinite one means no value suffices.
     """
-    if c == math.inf or c is INFINITE:
-        c, t_cut = math.inf, INFINITE
-    elif not (isinstance(c, (int, float)) and c > 0):
+    if c is INFINITE:
+        c = math.inf
+    if not (isinstance(c, (int, float)) and c > 0):
         raise DomainError(f"cut-time multiplier must be positive, got {c!r}")
-    else:
-        c = float(c)
-        t_cut = c * n_bc * cfg.block_time_seconds
+    c = float(c)
+    t_cut = _deadline(c, n_bc, cfg.block_time_seconds)
     spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=t_cut, lambda_h=cfg.lambda_h)
     return _case_report(cfg, spec, c, tol)
 

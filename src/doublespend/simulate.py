@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Callable, Iterable, Iterator
 
@@ -154,19 +154,12 @@ def simulate_one(spec: AttackSpec, stream_seed: int | tuple[int, int],
     else:
         key = (_check_seed(stream_seed), 0)
     if independent_clocks:
-        # explicit dtype: a plain tuple is cast through float64 and mangles
-        # seeds above 2**53
-        rng = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
-        return _simulate_two_clocks(spec, rng, event_cap)
-    success, t_dsa, blocks_a, blocks_h, truncated = next(
-        _walk(spec, key[0], key[1], 1, event_cap))
-    return TrialOutcome(
-        success=bool(success[0]),
-        t_dsa=float(t_dsa[0]) if success[0] else None,
-        blocks_a=int(blocks_a[0]),
-        blocks_h=int(blocks_h[0]),
-        truncated=bool(truncated[0]),
-    )
+        rows = _clock_rows(spec, key[0], key[1], 1, event_cap)
+    else:
+        rows = _rows(_walk(spec, key[0], key[1], 1, event_cap))
+    success, t_dsa, blocks_a, blocks_h, truncated = next(rows)
+    return TrialOutcome(success=success, t_dsa=t_dsa if success else None,
+                        blocks_a=blocks_a, blocks_h=blocks_h, truncated=truncated)
 
 
 def _first_chunks(spec: AttackSpec, event_cap: int) -> int:
@@ -306,10 +299,21 @@ def _rows(blocks: Iterable[tuple[np.ndarray, ...]]) -> Iterator[tuple]:
         yield from zip(*(column.tolist() for column in block))
 
 
+def _clock_rows(spec: AttackSpec, master_seed: int, first: int, count: int,
+                event_cap: int) -> Iterator[tuple]:
+    # trial k races on a Generator over Philox keyed (master_seed, k); the
+    # explicit dtype keeps seeds above 2**53 from a cast through float64
+    for k in range(first, first + count):
+        key = np.array((master_seed, k), dtype=np.uint64)
+        yield _simulate_two_clocks(spec, np.random.Generator(np.random.Philox(key=key)),
+                                   event_cap)
+
+
 def _simulate_two_clocks(spec: AttackSpec, rng: np.random.Generator,
-                         event_cap: int) -> TrialOutcome:
+                         event_cap: int) -> tuple:
     # self-check variant: two independent exponential clocks racing, no
-    # attribution draw; statistically identical to the merged process
+    # attribution draw; statistically identical to the merged process.
+    # Returns the row (success, t_dsa, blocks_a, blocks_h, truncated).
     n_bc = spec.n_bc
     t_cut = _cut_value(spec)
     scale_a = 1.0 / spec.lambda_a
@@ -321,8 +325,7 @@ def _simulate_two_clocks(spec: AttackSpec, rng: np.random.Generator,
     for _ in range(event_cap):
         now = min(next_a, next_h)
         if now >= t_cut:
-            return TrialOutcome(success=False, t_dsa=None,
-                                blocks_a=blocks_a, blocks_h=blocks_h)
+            return False, math.nan, blocks_a, blocks_h, False
         if next_a < next_h:
             blocks_a += 1
             next_a = now + rng.standard_exponential() * scale_a
@@ -330,10 +333,8 @@ def _simulate_two_clocks(spec: AttackSpec, rng: np.random.Generator,
             blocks_h += 1
             next_h = now + rng.standard_exponential() * scale_h
         if blocks_h >= n_bc and blocks_a > blocks_h:
-            return TrialOutcome(success=True, t_dsa=float(now),
-                                blocks_a=blocks_a, blocks_h=blocks_h)
-    return TrialOutcome(success=False, t_dsa=None, blocks_a=blocks_a,
-                        blocks_h=blocks_h, truncated=True)
+            return True, now, blocks_a, blocks_h, False
+    return False, math.nan, blocks_a, blocks_h, True
 
 
 def _aggregate(outcomes: Iterable[tuple[bool, float | None, int, int, bool]],
@@ -409,14 +410,10 @@ def estimate(spec: AttackSpec, trials: int, master_seed: int,
     _check_seed(master_seed)
     event_cap = _check_cap(spec, event_cap)
     if independent_clocks:
-        outcomes = (
-            astuple(simulate_one(spec, (master_seed, k), event_cap,
-                                 independent_clocks=True))
-            for k in range(trials)
-        )
+        rows = _clock_rows(spec, master_seed, 0, trials, event_cap)
     else:
-        outcomes = _rows(_walk(spec, master_seed, 0, trials, event_cap))
-    return _aggregate(outcomes, trials, master_seed, trace_to=trace_to)
+        rows = _rows(_walk(spec, master_seed, 0, trials, event_cap))
+    return _aggregate(rows, trials, master_seed, trace_to=trace_to)
 
 
 def estimate_profit(model: EconomicModel, spec: AttackSpec, trials: int,

@@ -34,6 +34,9 @@ class _CutTime(enum.Enum):
     def __repr__(self) -> str:
         return "INFINITE"
 
+    def __str__(self) -> str:
+        return "infinite"
+
 
 INFINITE = _CutTime.INFINITE
 
@@ -88,6 +91,12 @@ class AttackSpec:
     @property
     def infinite_cut(self) -> bool:
         return self.t_cut is INFINITE
+
+
+def _deadline(c: float, n_bc: int, block_time: float) -> float | _CutTime:
+    """t_cut of c block intervals of block_time seconds per confirmation;
+    INFINITE when c is +inf. Other values go to AttackSpec to be checked."""
+    return INFINITE if c == math.inf else c * n_bc * block_time
 
 
 def ballot_number(n: int, m: int) -> int:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -233,14 +234,40 @@ class TestExitCodes:
         ["prob", "--pa", "0.35", "--nbc", "5", "--cut-mult", "soon"],
         ["prob", "--pa", "0.35", "--nbc", "5", "--cut-mult", "4",
          "--block-time", "0"],
+        ["prob", "--pa", "0.35", "--nbc", "5", "--cut-mult", "4",
+         "--lambda-h", "0"],
+        ["prob", "--pa", "0.35", "--nbc", "5", "--cut-mult", "4",
+         "--block-time", "inf"],
         ["pdf", "--pa", "0.35", "--nbc", "5", "--t-max", "-1"],
         ["pdf", "--pa", "0.35", "--nbc", "5", "--points", "0"],
+        # estimate_profit runs the merged process only
+        ["simulate", "--pa", "0.35", "--nbc", "5", "--cut-mult", "4",
+         "--trials", "10", "--independent-clocks", "--gamma", "0.422",
+         "--beta", "0.44"],
     ], ids=" ".join)
     def test_malformed_inputs(self, argv, capsys):
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert sum("error:" in line for line in err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("rate", [("--lambda-h", "0", "lambda_h"),
+                                      ("--lambda-h", "nan", "lambda_h"),
+                                      ("--block-time", "inf", "block time")],
+                             ids=lambda rate: f"{rate[0][2:]}={rate[1]}")
+    @pytest.mark.parametrize("cmd", [
+        ["prob"], ["pdf"], ["expect-time"],
+        ["profit", "--gamma", "0.422", "--beta", "0.44"],
+        ["creq", "--gamma", "0.422", "--beta", "0.44"],
+        ["simulate", "--trials", "10"],
+    ], ids=lambda cmd: cmd[0])
+    def test_bad_rate_times_cut_mult(self, cmd, rate, capsys):
+        # each used to end in a ZeroDivisionError traceback or a nan cut
+        flag, value, name = rate
+        assert run([*cmd, "--pa", "0.35", "--nbc", "5", "--cut-mult", "4",
+                    flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {name} must be positive and finite, got {float(value)}\n"
 
     def test_series_cap_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(timing, "_MIXTURE_CAP", 64)
@@ -354,6 +381,23 @@ def test_large_cut_multiplier(cmd, bch_config, capsys):
     if cmd[0] == "case-study":
         cmd = cmd + ["--config", bch_config]
     assert run(cmd + ["--cut-mult", "1e6", "--format", "json"]) == 0
+
+
+def test_one_deadline_for_creq_and_case_study(capsys):
+    # c 2 at n_bc 3 is 6 block intervals; c * nbc / lambda_h used to give
+    # creq 3599.9999999999995 s and a c_req off in its last digits
+    point = ["--pa", "0.6", "--nbc", "3", "--cut-mult", "2", "--format", "json"]
+    econ = ["--gamma", "0.422", "--beta", "0.44"]
+    reports = []
+    for rate in (["--block-time", "600"], ["--lambda-h", "0.0016666666666666668"]):
+        assert run(["creq", *point, *econ, *rate]) == 0
+        params, result = _json_out(capsys)
+        reports.append((params["t_cut_seconds"], result["c_req"]))
+    golden_conf = Path(__file__).with_name("golden") / "bch.conf"
+    assert run(["case-study", "--config", str(golden_conf), *point]) == 0
+    _, result = _json_out(capsys)
+    reports.append((result["t_cut_seconds"], result["c_req"]))
+    assert reports == [(3600.0, reports[0][1])] * 3
 
 
 def test_repeat_invocations_byte_identical(capsys):

@@ -153,6 +153,17 @@ def test_expected_opex_rejects_nonlinear():
         expected_opex(bent, BCH_SPEC)
 
 
+def test_growing_reward_refuses_profit_closed_forms():
+    # the cost stays linear, so only the forms that read the reward refuse
+    growing = EconomicModel(gamma=0.422, beta=0.44,
+                            reward_growth=((2.0, 3.0), (2.0, 2.0)))
+    assert growing.linear_cost and not growing.linear_reward
+    for closed_form in (expected_profit, required_value):
+        with pytest.raises(UnsupportedAnalyticError):
+            closed_form(growing, BCH_SPEC)
+    assert expected_opex(growing, BCH_SPEC) == expected_opex(BCH_MODEL, BCH_SPEC)
+
+
 def test_required_value_case_study_anchor():
     assert required_value(BCH_MODEL, BCH_SPEC) == pytest.approx(16.22, rel=0.01)
 

@@ -282,6 +282,12 @@ class TestFormatting:
         assert out["cut"] == "infinite"
         assert out["grid"] == [1, 2]
 
+    def test_unbounded_cut_renders_as_word(self):
+        # the marker used to render as '_CutTime.INFINITE'
+        assert to_jsonable(AttackSpec(0.35, 5, INFINITE))["t_cut"] == "infinite"
+        assert format_sig(INFINITE) == format_full(INFINITE) == "infinite"
+        assert repr(INFINITE) == "INFINITE"
+
 
 class TestRenderers:
     PARAMS = {"p_a": 0.35, "n_bc": 5}

@@ -12,6 +12,7 @@ from doublespend.walk import (
     INFINITE,
     AttackSpec,
     _ballot_coeff,
+    _deadline,
     ballot_number,
     p_dsa,
     p_dsa_at_state,
@@ -268,3 +269,12 @@ def test_premine_strictly_easier_target_still_loses(p_a, n_bc):
     # recovering from behind must beat needing an immediate n_bc+1 streak
     spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE)
     assert p_dsa(spec) > premine_success_prob(spec)
+
+
+def test_deadline_is_c_block_intervals_per_confirmation():
+    assert _deadline(2.0, 3, 600.0) == 3600.0
+    assert _deadline(4, 5, 1.0) == 20.0
+    assert _deadline(math.inf, 5, 600.0) is INFINITE
+    # any other value is left to AttackSpec to refuse
+    assert _deadline(-math.inf, 5, 600.0) == -math.inf
+    assert math.isnan(_deadline(math.nan, 5, 600.0))
