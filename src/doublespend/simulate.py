@@ -337,7 +337,7 @@ def _simulate_two_clocks(spec: AttackSpec, rng: np.random.Generator,
     return False, math.nan, blocks_a, blocks_h, True
 
 
-def _aggregate(outcomes: Iterable[tuple[bool, float | None, int, int, bool]],
+def _aggregate(outcomes: Iterable[tuple[bool, float, int, int, bool]],
                trials: int, master_seed: int,
                profit_of: Callable[[float | None], float] | None = None,
                trace_to: IO[str] | None = None) -> SimulationSummary:
