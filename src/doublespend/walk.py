@@ -167,6 +167,13 @@ def p_dsa_at_state(spec: AttackSpec, i: int) -> float:
     return total
 
 
+# a positive term below this share of a float sum s is below half an ulp of
+# s (> 2^-54 s), with a factor 2 to spare for the rounding of the term, and
+# round-to-nearest leaves s unchanged (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2002, section 2.1)
+_NO_BIT = 2.0 ** -55
+
+
 def _race(spec: AttackSpec) -> tuple[float, float]:
     """(p_dsa, mean arrival count at success given success), one pass over
     positive terms.
@@ -187,10 +194,16 @@ def _race(spec: AttackSpec) -> tuple[float, float]:
     is 2 n_bc + 1 plus a nonnegative excess (2 p_a d/(p_h - p_a), or
     k - n_bc - 1), so the mean never reads below 2 n_bc + 1, and the
     infinite tail k > n_bc is a hypergeometric series that terminates after
-    a transformation: n_bc positive terms, no truncation. All terms are
-    scaled by one near the largest, whose logarithm is computed once, so
-    the sums cannot underflow; only p_dsa itself reads 0 when it is below
-    the float range. At p_a = 1/2, p_dsa is 1 and the mean is infinite.
+    a transformation: at most n_bc positive terms. All terms are scaled by
+    one near the largest, whose logarithm is computed once, so the sums
+    cannot underflow; only p_dsa itself reads 0 when it is below the float
+    range. At p_a = 1/2, p_dsa is 1 and the mean is infinite.
+
+    The sum down from the largest v_k and the transformed tail each stop
+    once their term ratio is below 1, from where it only falls, and the
+    next term times the largest weight (n_bc+1, n_bc+2) is below 2^-55 of
+    each running sum. Every later term would then leave the sums
+    unchanged under round-to-nearest, so the stop changes no bit.
     """
     n = spec.n_bc
     pa, ph = spec.p_a, spec.p_h
@@ -209,7 +222,11 @@ def _race(spec: AttackSpec) -> tuple[float, float]:
     for k in range(m, -1, -1):
         total += v
         extra += (n + 1 - k) * v
-        v *= k / ((n + k - 1) * c) if k else 0.0
+        r = k / ((n + k - 1) * c) if k else 0.0
+        v *= r
+        # extra >= total, and every later term times its weight is below v (n+1)
+        if r < 1.0 and (n + 1) * v < _NO_BIT * total:
+            break
     v = 1.0
     for k in range(m + 1, n + 1):
         v *= (n + k - 1) / k * c
@@ -227,7 +244,9 @@ def _race(spec: AttackSpec) -> tuple[float, float]:
     x = pa / ph
     u = s0 = s1 = 1.0
     for j in range(1, n):
-        u *= (n - j) / (n + 1 + j) * x
+        u *= (n - j) / (n + 1 + j) * x  # the ratio is below 1 and falls in j
+        if (n + 2) * u < _NO_BIT * s0:  # s1 >= s0, every weight < n+2
+            break
         s0 += u
         s1 += (j + 1) * (n + 2) / (n + 2 + j) * u
     head = v * 2 * n / (n + 1)  # v_(n+1) / p_h

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from doublespend.walk import (
     p_dsa_at_state,
     premine_success_prob,
 )
-from race_oracles import exact_p_dsa, rel_error
+from race_oracles import exact_p_dsa, full_race, rel_error
 
 
 def lattice_path_count(n, m):
@@ -248,6 +249,34 @@ def test_p_dsa_matches_exact_closed_form(p_a, n_bc):
     # depth (2.3e210 times too large at (0.1, 500))
     spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE)
     assert rel_error(p_dsa(spec), exact_p_dsa(p_a, n_bc)) <= 1e-12
+
+
+def _race_grid():
+    # corners: tiny p_a, p_a within 1e-4 of 1/2 on both sides, p_a > 1/2,
+    # and every n_bc up to 30; then seeded draws out to n_bc 5000
+    shares = [1e-9, 1e-6, 1e-3, 0.05, 0.1, 0.2, 0.3, 0.35, 0.4, 0.45, 0.49,
+              0.4999, 0.49999, 0.5, 0.50001, 0.5001, 0.51, 0.6, 0.75, 0.9,
+              0.99, 0.999999]
+    depths = list(range(1, 31)) + [60, 100, 200, 500, 1000, 2000, 5000]
+    specs = [(p_a, n_bc) for p_a in shares for n_bc in depths]
+    rng = random.Random(20140815)
+    while len(specs) < 2100:
+        p_a = rng.choice([rng.uniform(0.0, 1.0), 0.5 + rng.uniform(-1e-4, 1e-4),
+                          10.0 ** rng.uniform(-9.0, -1.0)])
+        n_bc = round(10.0 ** rng.uniform(0.0, math.log10(5000.0)))
+        if 0.0 < p_a < 1.0:
+            specs.append((p_a, n_bc))
+    return specs
+
+
+def test_race_stop_rule_changes_no_bit():
+    # the sums stop once no later term can change them; the untruncated
+    # sums must give the same two floats to the last bit
+    specs = _race_grid()
+    assert len(specs) >= 2000
+    for p_a, n_bc in specs:
+        spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE)
+        assert walk._race(spec) == full_race(spec), (p_a, n_bc)
 
 
 def test_p_dsa_underflows_to_zero():
