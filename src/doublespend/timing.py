@@ -152,22 +152,25 @@ def _state_masses(spec: AttackSpec):
     n_bc = spec.n_bc
     pa, ph = spec.p_a, spec.p_h
     r = pa * ph
+    ldexp, frexp = math.ldexp, math.frexp
+    low, high = _LANE_FLOOR, 1.0 / _LANE_FLOOR
     # C(2N, N-1) p_h^N p_a^(N+1) = t2 * 2^e2, C(2N, N-1) = 4^N c(N) N/(N+1)
     ma, ea = scaled_pow(pa, n_bc + 1)
     mh, eh = scaled_pow(ph, n_bc)
-    t2, e2 = math.frexp(_central(n_bc) * n_bc / (n_bc + 1) * ma * mh)
+    t2, e2 = frexp(_central(n_bc) * n_bc / (n_bc + 1) * ma * mh)
     e2 += ea + eh + 2 * n_bc
     ballot = True  # the overtake family is still inside the float range
+    odd = True  # state i is odd, so the overtake family has mass on it
     a = b = 0.0
     i = 2 * n_bc + 1
     n = 0
     while True:
-        p_i = math.ldexp(t2, e2)
-        if ballot and (i - 2 * n_bc) % 2 == 1:
+        p_i = ldexp(t2, e2)
+        if ballot and odd:
             if n % _RESEED == 0:
                 a, b, e = _ballot_seed(n_bc, n, pa, ph)
-                ballot = math.frexp(a)[1] + e >= _BELOW_FLOATS
-            p_i += math.ldexp(a, e)
+                ballot = frexp(a)[1] + e >= _BELOW_FLOATS
+            p_i += ldexp(a, e)
             # the recurrence at n for q = W r^n * const, r = p_a p_h: one
             # rounded r throughout, since r * r rounded apart from r splits
             # the double root and the drift grows quadratically
@@ -175,15 +178,16 @@ def _state_masses(spec: AttackSpec):
             c = (2 * (nn + 2) * (4 * n * n + (4 * n_bc + 10) * n + 5 * n_bc + 7) * b
                  - 4 * (nn + 1) * (2 * n + 1) * (2 * nn + 1) * (r * a)
                  ) * r / ((n + 2) * (nn + 2) * (nn + 3))
-            a, b = b, max(c, 0.0)
-            if b < _LANE_FLOOR:
-                b, d = math.frexp(b)
-                a, e = math.ldexp(a, -d), e + d
+            a, b = b, c if c > 0.0 else 0.0
+            if b < low:
+                b, d = frexp(b)
+                a, e = ldexp(a, -d), e + d
             n += 1
+        odd = not odd
         yield p_i
         t2 *= i / (i - n_bc + 1) * pa
-        if not _LANE_FLOOR <= t2 <= 1.0 / _LANE_FLOOR:
-            t2, d = math.frexp(t2)
+        if not low <= t2 <= high:
+            t2, d = frexp(t2)
             e2 += d
         i += 1
 
@@ -242,11 +246,14 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, density: bool,
     if cdf <= 0.0 and (x == 0.0 or not density):
         return 0.0, 0.0  # not even the earliest state fits before t_cut
     u = poisson_term(i0, x)
-    w = poisson_term(i0 - 1, x)  # u_(i-1) at state i
+    if density:
+        w = poisson_term(i0 - 1, x)  # u_(i-1) at state i
     acc_p = acc_t = acc_d = 0.0
     p_as = None
     mass_seen = moment_seen = 0.0
-    for i, p_i in enumerate(states, i0):
+    i = i0
+    left = 64  # states to the next fixed checkpoint
+    for p_i in states:
         cdf_next = cdf - u
         if cdf_next < 0.0:
             cdf_next = 0.0
@@ -258,7 +265,9 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, density: bool,
         else:
             moment_seen += i * p_i
             acc_t += p_i * (i / lam_t) * cdf_next
-        if (i + 1 - i0) % 64 == 0 or cdf_next <= 1e-280:
+        left -= 1
+        if not left or cdf_next <= 1e-280:
+            left = left or 64
             cdf_next = regularized_gamma_p(i + 1.0, x)
             u = poisson_term(i + 1, x)
             bound = cdf_next * max(total_mass - mass_seen, 0.0)
@@ -283,6 +292,7 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, density: bool,
         else:
             u *= x / (i + 1)
         cdf = cdf_next
+        i += 1
     raise ConvergenceError("Erlang-mixture series terminated unexpectedly", acc_p)
 
 
