@@ -95,21 +95,31 @@ def _add_point_flags(parser: argparse.ArgumentParser, *, economics: bool = False
                                 "rate flag is given)")
 
 
+def _clock(args: argparse.Namespace) -> tuple[float | None, float]:
+    """(--lambda-h as given or None, the block interval in seconds) of the
+    rate flags: --block-time, or 1/--lambda-h, or 600 s. The flag given and
+    the value derived from it must both be positive and finite."""
+    lambda_h = args.lambda_h
+    name, rate, other = (("block time", args.block_time, "lambda_h") if lambda_h is None
+                         else ("lambda_h", lambda_h, "block time"))
+    if not 0.0 < rate < math.inf:
+        raise DoubleSpendError(f"{name} must be positive and finite, got {rate}")
+    if not 1.0 / rate < math.inf:  # rate below about 5.6e-309; never 0
+        raise DoubleSpendError(f"{name} = {rate} gives {other} = {1.0 / rate}; "
+                               f"both must be positive and finite")
+    return lambda_h, rate if lambda_h is None else 1.0 / rate
+
+
 def _resolve_spec(args: argparse.Namespace,
                   block_time: float | None = None) -> AttackSpec:
     """The spec of the point flags on a clock of block_time seconds, by
-    default the rate flags': --block-time, or 1/--lambda-h (kept as given),
-    or 600 s. Only a +inf cut flag, or none at all, means an unbounded
-    attack; any other value, -inf and nan included, goes to AttackSpec to
-    be checked."""
+    default the rate flags' (see _clock; --lambda-h is kept as given).
+    Only a +inf cut flag, or none at all, means an unbounded attack; any
+    other value, -inf and nan included, goes to AttackSpec to be
+    checked."""
     lambda_h = None
     if block_time is None:
-        lambda_h, block_time = args.lambda_h, args.block_time
-        for name, rate in (("lambda_h", lambda_h), ("block time", block_time)):
-            if rate is not None and not 0.0 < rate < math.inf:
-                raise DoubleSpendError(f"{name} must be positive and finite, got {rate}")
-        if lambda_h is not None:
-            block_time = 1.0 / lambda_h
+        lambda_h, block_time = _clock(args)
     if args.cut_mult is not None:
         t_cut = _deadline(args.cut_mult, args.nbc, block_time)
     else:
@@ -146,7 +156,7 @@ def _cmd_pdf(args: argparse.Namespace) -> str:
     elif not spec.infinite_cut:
         t_max = spec.t_cut
     else:
-        t_max = 6.0 * spec.n_bc / spec.lambda_h
+        t_max = _deadline(6.0, spec.n_bc, _clock(args)[1])
     if t_max <= 0:
         raise DoubleSpendError(f"--t-max must be positive, got {t_max}")
     if args.points < 1:

@@ -251,10 +251,17 @@ class TestExitCodes:
         assert sum("error:" in line for line in err.splitlines()) == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("rate", [("--lambda-h", "0", "lambda_h"),
-                                      ("--lambda-h", "nan", "lambda_h"),
-                                      ("--block-time", "inf", "block time")],
-                             ids=lambda rate: f"{rate[0][2:]}={rate[1]}")
+    @pytest.mark.parametrize("rate", [
+        ("--lambda-h", "0", "lambda_h must be positive and finite, got 0.0"),
+        ("--lambda-h", "nan", "lambda_h must be positive and finite, got nan"),
+        ("--block-time", "inf", "block time must be positive and finite, got inf"),
+        # 1/1e-320 overflows; --lambda-h used to end in "use INFINITE ...,
+        # not float('inf')", which named neither the flag nor the rate
+        ("--lambda-h", "1e-320", "lambda_h = 1e-320 gives block time = inf; "
+                                 "both must be positive and finite"),
+        ("--block-time", "1e-320", "block time = 1e-320 gives lambda_h = inf; "
+                                   "both must be positive and finite"),
+    ], ids=lambda rate: f"{rate[0][2:]}={rate[1]}")
     @pytest.mark.parametrize("cmd", [
         ["prob"], ["pdf"], ["expect-time"],
         ["profit", "--gamma", "0.422", "--beta", "0.44"],
@@ -263,11 +270,10 @@ class TestExitCodes:
     ], ids=lambda cmd: cmd[0])
     def test_bad_rate_times_cut_mult(self, cmd, rate, capsys):
         # each used to end in a ZeroDivisionError traceback or a nan cut
-        flag, value, name = rate
+        flag, value, error = rate
         assert run([*cmd, "--pa", "0.35", "--nbc", "5", "--cut-mult", "4",
                     flag, value]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: {name} must be positive and finite, got {float(value)}\n"
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_series_cap_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(timing, "_MIXTURE_CAP", 64)
@@ -381,6 +387,17 @@ def test_large_cut_multiplier(cmd, bch_config, capsys):
     if cmd[0] == "case-study":
         cmd = cmd + ["--config", bch_config]
     assert run(cmd + ["--cut-mult", "1e6", "--format", "json"]) == 0
+
+
+@pytest.mark.parametrize("nbc", [1, 2, 4, 8, 9])
+def test_pdf_default_t_max_is_six_block_intervals(nbc, capsys):
+    # 6 * nbc / lambda_h gave 3599.9999999999995 s at n_bc 1 and the 600 s
+    # block; the grid ends at 6 block intervals per confirmation
+    assert run(["pdf", "--pa", "0.35", "--nbc", str(nbc), "--points", "1",
+                "--format", "json"]) == 0
+    params, rows = _json_out(capsys)
+    assert params["t_max"] == 3600.0 * nbc
+    assert rows[0]["t_seconds"] == 3600.0 * nbc
 
 
 def test_one_deadline_for_creq_and_case_study(capsys):
