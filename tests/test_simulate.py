@@ -35,9 +35,11 @@ from doublespend import (
     reward,
     simulate_one,
 )
+from doublespend import simulate as simulate_module
 from doublespend.simulate import (
     _BLOCK_ELEMENTS,
     _CHUNK,
+    _MAX_CHUNKS,
     TrialOutcome,
     _check_cap,
     _first_chunks,
@@ -112,7 +114,7 @@ def _hand_trial(spec, master_seed, k, event_cap):
 
 
 @pytest.mark.parametrize("spec,event_cap", [
-    # first pass of 96 arrivals at counter k*48 + j//2
+    # first pass of 48 arrivals at counter k*24 + j//2
     (AttackSpec(p_a=0.35, n_bc=5, t_cut=12000.0, lambda_h=1 / 600), None),
     # first pass of 48 arrivals; every trial needs 61 or more, so it goes on
     # to the counters (m, k, 1, 0)
@@ -124,6 +126,38 @@ def test_counter_layout_by_hand(spec, event_cap, k):
     seed = 2 ** 63 + 11
     by_hand = _hand_trial(spec, seed, k, _check_cap(spec, event_cap))
     assert simulate_one(spec, (seed, k), event_cap) == by_hand
+
+
+@pytest.mark.parametrize("x", [1e-6, 1.0, 30.8, 35.0, 40.5, 218.0, 1e9])
+@pytest.mark.parametrize("event_cap", [_check_cap(BCH, None), 30])
+def test_first_pass_covers_mean_plus_two_sd(x, event_cap):
+    # whole chunks over x + 2 sqrt(x) + 1 arrivals, unless the chunk limit
+    # or the event cap (rounded up to a whole chunk) comes first
+    spec = AttackSpec(p_a=0.35, n_bc=5, t_cut=x * 0.65 * 600, lambda_h=1 / 600)
+    x = spec.lambda_t * spec.t_cut
+    first_len = _first_chunks(spec, event_cap) * _CHUNK
+    cap_len = min(_MAX_CHUNKS, -(-event_cap // _CHUNK)) * _CHUNK
+    need = x + 2.0 * math.sqrt(x) + 1.0
+    assert first_len == cap_len or first_len >= need > first_len - _CHUNK
+    assert first_len <= cap_len
+
+
+def test_few_trials_open_a_second_pass(monkeypatch):
+    # at the case-study spec (x = 30.8) the 48-arrival first pass settles
+    # all but about P(Poisson(30.8) >= 48) = 0.24% of the trials
+    later_rows = []
+    settle = simulate_module._settle
+
+    def counting_settle(spec, words, events, *rest):
+        if events > 0:
+            later_rows.append(words.shape[0])
+        return settle(spec, words, events, *rest)
+
+    monkeypatch.setattr(simulate_module, "_settle", counting_settle)
+    trials = 20_000
+    estimate(BCH, trials, master_seed=2 ** 63 + 17)
+    assert _first_chunks(BCH, _check_cap(BCH, None)) == 1
+    assert sum(later_rows) <= trials // 100
 
 
 class TestValidation:
