@@ -113,8 +113,11 @@ def _ballot_seed(n_bc: int, n: int, pa: float, ph: float) -> tuple[float, float,
     the m-terms of walk._ballot_coeff relative to the m = 0 term; each ratio
     t_m / t_(m-1) is one correctly rounded integer division, and the ratios
     fall in m, so the sum stops once its geometric tail is below 2^-60 of
-    it. C(2k, k) = 4^k exp(stirlerr(2k) - 2 stirlerr(k)) / sqrt(pi k) and
-    the powers come from scaled_pow, so no large logarithm is rounded.
+    it. The stop is tested every 8th term only: the terms past the first
+    stop are each below 2^-60 of their sum, less than half an ulp of it, so
+    adding them leaves the sum's bits as they are. C(2k, k) = 4^k
+    exp(stirlerr(2k) - 2 stirlerr(k)) / sqrt(pi k) and the powers come from
+    scaled_pow, so no large logarithm is rounded.
     q(n+1) = q(n) p_a p_h sum_m t_m H_m / S(n), H_m =
     (2n+m+1)(2n+m+2) / ((n+1)(n+m+2)) being the exact step of the m-term
     from n to n+1; weighting the same rounded t_m keeps the pair's ratio
@@ -127,13 +130,15 @@ def _ballot_seed(n_bc: int, n: int, pa: float, ph: float) -> tuple[float, float,
             (2 * n_bc - m) * m * (n + m + 1))
         t0 *= r0
         u_next = t0 * ((2 * n + m + 1) * (2 * n + m + 2) / ((n + 1) * (n + m + 2)))
-        r1, u = u_next / u, u_next
         s0 += t0
-        s1 += u
-        # the ratios of both sums' terms fall in m, and r1 > r0
-        if r1 < 1.0 and u * r1 <= (1.0 - r1) * s1 * 2.0 ** -60 and (
-                t0 * r0 <= (1.0 - r0) * s0 * 2.0 ** -60):
-            break
+        s1 += u_next
+        if not m % 8:
+            # the ratios of both sums' terms fall in m, and r1 > r0
+            r1 = u_next / u
+            if r1 < 1.0 and u_next * r1 <= (1.0 - r1) * s1 * 2.0 ** -60 and (
+                    t0 * r0 <= (1.0 - r0) * s0 * 2.0 ** -60):
+                break
+        u = u_next
     ma, ea = scaled_pow(pa, n_bc + n + 1)
     mh, eh = scaled_pow(ph, n_bc + n)
     a = (_central(n_bc) * _central(n) * s0 / (2 * (n + 1))) * ma * mh

@@ -10,6 +10,8 @@
   to 1e-4951 on x86-64, so no rescaling is needed); the Erlang CDFs come from
   one mpmath incomplete gamma and the recursion P(i+1, x) = P(i, x) -
   e^-x x^i / i! at 40 digits.
+- full_seed: timing._ballot_seed with its stop rule tested at every term,
+  the reference for the seed that tests the rule every 8th term only.
 """
 from __future__ import annotations
 
@@ -18,6 +20,8 @@ import math
 import mpmath
 import numpy as np
 
+from doublespend.specfun import scaled_pow
+from doublespend.timing import _central
 from doublespend.walk import _ballot_coeff
 
 
@@ -61,3 +65,26 @@ def walk_dp_cut(p_a: float, n_bc: int, x: float) -> tuple[float, float]:
             moment += mass * i * cdf_next
             cdf, u = cdf_next, u * xm / (i + 1)
         return float(p_as), float(moment / p_as)
+
+
+def full_seed(n_bc: int, n: int, pa: float, ph: float) -> tuple[float, float, int]:
+    """timing._ballot_seed, stopping at the first term whose geometric tail
+    is below 2^-60 of both sums."""
+    s0 = t0 = 1.0
+    u = s1 = (2 * n + 1) * (2 * n + 2) / ((n + 1) * (n + 2))
+    for m in range(1, n_bc + 1):
+        r0 = (n_bc - m + 1) * (m + 1) * (2 * n + m) / (
+            (2 * n_bc - m) * m * (n + m + 1))
+        t0 *= r0
+        u_next = t0 * ((2 * n + m + 1) * (2 * n + m + 2) / ((n + 1) * (n + m + 2)))
+        r1, u = u_next / u, u_next
+        s0 += t0
+        s1 += u
+        if r1 < 1.0 and u * r1 <= (1.0 - r1) * s1 * 2.0 ** -60 and (
+                t0 * r0 <= (1.0 - r0) * s0 * 2.0 ** -60):
+            break
+    ma, ea = scaled_pow(pa, n_bc + n + 1)
+    mh, eh = scaled_pow(ph, n_bc + n)
+    a = (_central(n_bc) * _central(n) * s0 / (2 * (n + 1))) * ma * mh
+    b = a * (pa * ph) * (s1 / s0)
+    return a, b, ea + eh + 2 * (n_bc + n)

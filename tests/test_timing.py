@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from dataclasses import replace
 
 import mpmath
@@ -26,7 +27,7 @@ from doublespend.timing import (
 )
 from doublespend.walk import INFINITE, AttackSpec, p_dsa, p_dsa_at_state, \
     premine_success_prob
-from mass_oracles import exact_mass, walk_dp_cut
+from mass_oracles import exact_mass, full_seed, walk_dp_cut
 from race_oracles import exact_mean_arrivals, exact_p_dsa, rel_error
 
 BCH = dict(p_a=0.35, n_bc=5, lambda_h=1 / 600)
@@ -347,6 +348,18 @@ def test_confirmation_last_lane_at_depth():
     for i in [*range(700, 2001, 50), 1000, 2000]:
         exact = p_dsa_at_state(spec, i)
         assert math.isclose(masses[i - 501], exact, rel_tol=1e-12), i
+
+
+def test_pair_seed_stops_on_the_bits_of_an_every_term_stop():
+    # the seed tests its stop rule every 8th term only; the terms it adds
+    # past the first stop round away, so it returns the oracle's tuple
+    rng = random.Random(20261020)
+    for _ in range(2000):
+        n_bc = min(20_000, int(math.exp(rng.uniform(0.0, math.log(20_001)))))
+        n = rng.randint(0, 4000)
+        pa = rng.uniform(0.01, 0.99)
+        args = (n_bc, n, pa, 1.0 - pa)
+        assert timing._ballot_seed(*args) == full_seed(*args), args
 
 
 def _reseed_states(n_bc, last):
