@@ -237,7 +237,10 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, density: bool,
 
     p_as is the sum at the first checkpoint that certifies it, whether or
     not the pass goes on to certify the second value. e_tas divides by the
-    sum where the pass stops; it is 0 when that sum is 0.
+    sum where the pass stops; it is 0 when that sum is 0. A pass that walks
+    _MIXTURE_CAP states uncertified raises ConvergenceError; at p_a = 1/2
+    a pass that provably cannot certify within the cap raises it before
+    drawing a state.
     """
     lam_t = spec.lambda_t
     x = lam_t * t_cut
@@ -247,6 +250,25 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, density: bool,
             f"use INFINITE for an unbounded attack"
         )
     i0 = 2 * spec.n_bc + 1
+    if spec.p_a == 0.5:
+        # Refuse a pass that no checkpoint within the cap can certify. A
+        # checkpoint at state I certifies only if P(I+1, x) (S - s_I) <=
+        # tol * acc_p, S being the total mass, s_I the mass of the states up
+        # to I and acc_p <= s_I <= S. Checkpoints are at most 64 states
+        # apart and the cap raises at the first one at or past
+        # i0 + cap - 1, so each has I + 1 <= k = i0 + cap + 63, and
+        # P(I+1, x) >= P(k, x) as the Erlang CDF falls with the stage count.
+        # At p_a = 1/2, S = 1 and the attack achieves only once the lead
+        # a - h, a simple symmetric walk, reaches 1, so S - s_I is at least
+        # the chance that the walk stays at or below 0 for I steps,
+        # C(I, I//2) 2^-I >= 1 / sqrt(2(I+1)) >= 1 / sqrt(2k) (reflection
+        # principle; Feller, vol. 1, ch. III). Every checkpoint's bound is
+        # thus at least P(k, x) / sqrt(2k); where that exceeds 2 tol S, none
+        # certifies. The factor 2 spares the rounding of P and of the float
+        # totals, both far smaller.
+        k = i0 + _MIXTURE_CAP + 63
+        if regularized_gamma_p(float(k), x) > 2.0 * tol * total_mass * math.sqrt(2 * k):
+            raise _cap_error(None)
     cdf = regularized_gamma_p(float(i0), x)
     if cdf <= 0.0 and (x == 0.0 or not density):
         return 0.0, 0.0  # not even the earliest state fits before t_cut
@@ -289,16 +311,18 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, density: bool,
                         w * (i + 1) / (i + 1 - x) <= tol * max(acc_d, _TINY)):
                     return p_as, lam_t * acc_d
             if i + 1 - i0 >= _MIXTURE_CAP:
-                raise ConvergenceError(
-                    f"Erlang-mixture series did not converge within "
-                    f"{_MIXTURE_CAP} states",
-                    acc_p,
-                )
+                raise _cap_error(acc_p)
         else:
             u *= x / (i + 1)
         cdf = cdf_next
         i += 1
     raise ConvergenceError("Erlang-mixture series terminated unexpectedly", acc_p)
+
+
+def _cap_error(partial: float | None) -> ConvergenceError:
+    return ConvergenceError(
+        f"Erlang-mixture series did not converge within {_MIXTURE_CAP} states",
+        partial)
 
 
 def _success_moments(spec: AttackSpec, tol: float) -> tuple[float, float]:

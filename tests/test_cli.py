@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from doublespend import (AttackSpec, ConvergenceError, attack_success_prob,
-                         timing)
+                         expected_success_time, timing)
 from doublespend.cli import run
 from mass_oracles import walk_dp_cut
 
@@ -284,6 +284,53 @@ class TestExitCodes:
         with pytest.raises(ConvergenceError) as exc:
             attack_success_prob(AttackSpec(0.45, 5, 1e4 * 5))
         assert 0.0 < exc.value.partial < 1.0
+
+    def test_half_share_past_the_cap_refused_before_walking(self, monkeypatch,
+                                                            capsys):
+        # at p_a = 1/2 no checkpoint certifies once lambda_t * t_cut is near
+        # the cap or past it (x = 6 c here): the pass is refused before it
+        # draws a state, with the line a pass that walks to the cap prints
+        monkeypatch.setattr(timing, "_MIXTURE_CAP", 64)
+        drawn = []
+        state_masses = timing._state_mass_iter
+
+        def counting(spec):
+            for p_i in state_masses(spec):
+                drawn.append(p_i)
+                yield p_i
+
+        monkeypatch.setattr(timing, "_state_mass_iter", counting)
+        point = ["--pa", "0.5", "--nbc", "3"]
+        assert run(["expect-time", *point, "--cut-mult", "1e6"]) == 3
+        refused = capsys.readouterr().err
+        assert drawn == []
+        # at x = 66 a checkpoint past the cap might certify: walks to the cap
+        assert run(["expect-time", *point, "--cut-mult", "11"]) == 3
+        assert capsys.readouterr().err == refused == (
+            "error: Erlang-mixture series did not converge within 64 states\n")
+        assert len(drawn) == 64
+        with pytest.raises(ConvergenceError) as exc:
+            expected_success_time(AttackSpec(0.5, 3, 1e6))
+        assert exc.value.partial is None
+        # with the 2M-state cap, x = 2e6 is refused as well: no checkpoint
+        # before the cap certifies, and the walk took 10 s
+        monkeypatch.setattr(timing, "_MIXTURE_CAP", 2_000_000)
+        drawn.clear()
+        assert run(["prob", "--pa", "0.5", "--nbc", "5", "--cut-time", "6e8"]) == 3
+        assert capsys.readouterr().err == (
+            "error: Erlang-mixture series did not converge within 2000000 states\n")
+        assert drawn == []
+
+    def test_half_share_just_inside_the_cap(self, monkeypatch):
+        # x = 19,059 is the largest integer x whose pass certifies within
+        # 20,000 states; it keeps the values it had before the refusal
+        monkeypatch.setattr(timing, "_MIXTURE_CAP", 20_000)
+        spec = AttackSpec(0.5, 3, 19_059 / 2)
+        assert attack_success_prob(spec) == 0.9907886561004166
+        assert expected_success_time(spec) == 89.2948104071156
+        with pytest.raises(ConvergenceError) as exc:
+            attack_success_prob(AttackSpec(0.5, 3, 19_060 / 2))
+        assert exc.value.partial is not None
 
     def test_simulate_unbounded_without_cap(self, capsys):
         assert run(["simulate", "--pa", "0.35", "--nbc", "1",
