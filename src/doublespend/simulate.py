@@ -10,8 +10,12 @@ Streams are counter-based (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC'11). A run seeded master_seed reads numpy's
 Philox4x64-10 under the key (master_seed, 0); the trial index k and the
 arrival index j pick the counter. One counter's block of four 64-bit words
-serves two arrivals, (w0, w1) then (w2, w3). With L0 the arrivals of the
-spec's first pass (`_first_chunks` * `_CHUNK`):
+serves two arrivals, (w0, w1) then (w2, w3). L0, the arrivals of the
+spec's first pass (`_first_chunks` * `_CHUNK`), is the fewest whole
+48-arrival chunks that hold x + 2 sqrt(x) + 1 arrivals, x = lambda_t *
+t_cut being the mean number of arrivals before the cut (with an unbounded
+cut, one chunk); it is capped at `_MAX_CHUNKS` chunks and at the event cap
+rounded up to a whole chunk. Then:
 
 - arrival j < L0 of trial k reads the counter k*L0/2 + j//2, a 128-bit
   count in words 0 and 1 with words 2 and 3 zero;

@@ -312,8 +312,8 @@ class TestExitCodes:
         with pytest.raises(ConvergenceError) as exc:
             expected_success_time(AttackSpec(0.5, 3, 1e6))
         assert exc.value.partial is None
-        # with the 2M-state cap, x = 2e6 is refused as well: no checkpoint
-        # before the cap certifies, and the walk took 10 s
+        # with the 2M-state cap, x = 2e6 is refused as well: P(k, x) is
+        # near 1/2 there, so no checkpoint before the cap certifies
         monkeypatch.setattr(timing, "_MIXTURE_CAP", 2_000_000)
         drawn.clear()
         assert run(["prob", "--pa", "0.5", "--nbc", "5", "--cut-time", "6e8"]) == 3
@@ -323,7 +323,7 @@ class TestExitCodes:
 
     def test_half_share_just_inside_the_cap(self, monkeypatch):
         # x = 19,059 is the largest integer x whose pass certifies within
-        # 20,000 states; it keeps the values it had before the refusal
+        # 20,000 states: not refused, it returns the values of the full walk
         monkeypatch.setattr(timing, "_MIXTURE_CAP", 20_000)
         spec = AttackSpec(0.5, 3, 19_059 / 2)
         assert attack_success_prob(spec) == 0.9907886561004166

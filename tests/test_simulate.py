@@ -144,7 +144,7 @@ def test_first_pass_covers_mean_plus_two_sd(x, event_cap):
 
 def test_few_trials_open_a_second_pass(monkeypatch):
     # at the case-study spec (x = 30.8) the 48-arrival first pass settles
-    # all but about P(Poisson(30.8) >= 48) = 0.24% of the trials
+    # all but at most P(Poisson(30.8) >= 48) = 0.24% of the trials
     later_rows = []
     settle = simulate_module._settle
 
