@@ -62,6 +62,7 @@ from .timing import (
     dsa_time_density,
     expected_success_time,
     expected_success_time_inf,
+    p_dsa_at_state,
     sampling_grid,
 )
 from .walk import (
@@ -69,7 +70,6 @@ from .walk import (
     AttackSpec,
     ballot_number,
     p_dsa,
-    p_dsa_at_state,
     premine_success_prob,
 )
 

@@ -15,7 +15,8 @@ probability and mean directly. sampling_grid walks the state masses once
 for a whole grid of times. The state masses cost O(1) work each at any
 depth: a three-term recurrence carries the overtake family and one ratio
 the confirmation-last family, both seeded from the saddle-point kernel of
-specfun (see _state_mass_iter). The paper's closed-form density (a
+specfun (see _state_mass_iter); p_dsa_at_state gives one state's mass
+from the same closed forms. The paper's closed-form density (a
 hypergeometric block plus an incomplete-gamma block) is kept in the tests
 as an oracle for this series.
 """
@@ -62,14 +63,18 @@ def dsa_time_density(spec: AttackSpec, t: float, tol: float = 1e-12) -> float:
 def _state_mass_iter(spec: AttackSpec):
     """Yield p_i for i = 2*n_bc + 1, 2*n_bc + 2, ... in O(1) work per state.
 
-    The same masses as p_dsa_at_state, from two float recursions; only the
-    series summation uses this, the public p_dsa_at_state keeps exact
-    integer coefficients.
+    The masses of p_dsa_at_state, from two float recursions seeded by the
+    same closed forms; p_dsa_at_state evaluates one state on its own.
 
     The overtake family puts q(n) = W(n) p_a^(N+n+1) p_h^(N+n) on odd state
-    2N + 1 + 2n, N = n_bc, W(n) = walk._ballot_coeff(N, n). The weights obey
-    the three-term recurrence (creative telescoping; Petkovsek, Wilf and
-    Zeilberger, "A = B", 1996)
+    2N + 1 + 2n, N = n_bc, with the path count
+
+      W(n) = sum_(m=0..N) C(2N-m-1, N-1) (m+1) C(2n+m, n) / (n+m+1):
+
+    confirmation at state 2N - m with the honest chain m blocks ahead, then
+    a first drop to -1 at the (2n + m + 1)-th step after it
+    (ballot_number(n, m) ways). The weights obey the three-term recurrence
+    (creative telescoping; Petkovsek, Wilf and Zeilberger, "A = B", 1996)
 
       (n+2)(n+N+2)(n+N+3) W(n+2) = 2(n+N+2)(4n^2 + (4N+10)n + 5N+7) W(n+1)
                                    - 4(n+N+1)(2n+1)(2n+2N+1) W(n),
@@ -106,14 +111,52 @@ def _state_mass_iter(spec: AttackSpec):
     return _state_masses(spec)
 
 
+def p_dsa_at_state(spec: AttackSpec, i: int) -> float:
+    """Probability the attack first achieves both conditions exactly at state i.
+
+    Zero for i <= 2*n_bc (the attacker needs n_bc+1 + n_bc arrivals at
+    minimum). Beyond that, two disjoint path families contribute:
+
+    - confirmation completes at state i itself: the i-th arrival is the
+      n_bc-th honest block and the attacker already leads, with mass
+      binom(i-1, n_bc-1) * p_h^n_bc * p_a^(i-n_bc); this exists at every
+      i > 2*n_bc, odd or even.
+    - confirmation completed earlier and the walk first drops below zero at
+      state i: q(n) on odd state i = 2*n_bc + 1 + 2n only (the walk must
+      travel from a nonnegative height to -1), see _state_mass_iter.
+
+    The first term takes the top 64 bits of the exact binomial and the
+    powers from scaled_pow, the second one pair seed (_ballot_seed); each is
+    one ldexp, so neither underflows before the end. Within about 1e-14
+    relative of the exact mass; a mass below the float range reads 0. The
+    cost is one exact binomial and at most n_bc terms of the seed's sum, at
+    any i, and nothing is kept between calls.
+    """
+    if not isinstance(i, int) or isinstance(i, bool) or i < 1:
+        raise DomainError(f"state index must be an integer >= 1, got {i!r}")
+    n_bc = spec.n_bc
+    if i <= 2 * n_bc:
+        return 0.0
+    pa, ph = spec.p_a, spec.p_h
+    ways = math.comb(i - 1, n_bc - 1)
+    shift = max(ways.bit_length() - 64, 0)
+    ma, ea = scaled_pow(pa, i - n_bc)
+    mh, eh = scaled_pow(ph, n_bc)
+    mass = math.ldexp(float(ways >> shift) * ma * mh, shift + ea + eh)
+    if i % 2:
+        a, _, e = _ballot_seed(n_bc, (i - 2 * n_bc - 1) // 2, pa, ph)
+        mass += math.ldexp(a, e)
+    return mass
+
+
 def _ballot_seed(n_bc: int, n: int, pa: float, ph: float) -> tuple[float, float, int]:
     """(a, b, e) with q(n) = a * 2^e and q(n+1) = b * 2^e.
 
     W(n) = C(2N-1, N-1) C(2n, n) / (n+1) * S(n), where S(n) = sum_m t_m sums
-    the m-terms of walk._ballot_coeff relative to the m = 0 term; each ratio
-    t_m / t_(m-1) is one correctly rounded integer division, and the ratios
-    fall in m, so the sum stops once its geometric tail is below 2^-60 of
-    it. The stop is tested every 8th term only: the terms past the first
+    the m-terms of W(n) (see _state_mass_iter) relative to the m = 0 term;
+    each ratio t_m / t_(m-1) is one correctly rounded integer division, and
+    the ratios fall in m, so the sum stops once its geometric tail is below
+    2^-60 of it. The stop is tested every 8th term only: the terms past the first
     stop are each below 2^-60 of their sum, less than half an ulp of it, so
     adding them leaves the sum's bits as they are. C(2k, k) = 4^k
     exp(stirlerr(2k) - 2 stirlerr(k)) / sqrt(pi k) and the powers come from

@@ -10,18 +10,17 @@ arrivals drives two conditions:
   overtake:     the attacker chain is strictly longer, i.e. S_i < 0.
 
 The attack achieves at the first state where both hold simultaneously. This
-module computes the probability of that happening exactly at state i, and
-from one confirmation-race sum of positive terms the total success
-probability over all states together with the mean arrival count at success
-(no 1 - sum subtraction, so both hold their precision at any depth). It also
-gives the success probability under the stricter pre-mining rule.
+module computes, from one confirmation-race sum of positive terms, the total
+success probability over all states together with the mean arrival count at
+success (no 1 - sum subtraction, so both hold their precision at any depth).
+It also gives the success probability under the stricter pre-mining rule.
+The per-state masses are in timing (p_dsa_at_state).
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import DomainError
 
@@ -112,59 +111,6 @@ def ballot_number(n: int, m: int) -> int:
     if n < 0 or m < 0:
         return 0
     return (m + 1) * math.comb(2 * n + m, n) // (n + m + 1)
-
-
-@lru_cache(maxsize=None)
-def _ballot_coeff(n_bc: int, n: int) -> int:
-    # integer weight of the odd-state term: paths that confirm at state
-    # j = 2*n_bc - m, m = 0..n_bc (C(j-1, n_bc-1) ways to place the
-    # confirming blocks) and then first touch -1 after 2n + m more steps,
-    # ballot_number(n, m) = (m+1) C(2n+m, n) / (n+m+1) ways; both binomials
-    # step in m by exact integer ratios
-    confirm, walk = math.comb(2 * n_bc - 1, n_bc - 1), math.comb(2 * n, n)
-    total = 0
-    for m in range(n_bc + 1):
-        if m:
-            confirm = confirm * (n_bc - m + 1) // (2 * n_bc - m)
-            walk = walk * (2 * n + m) // (n + m)
-        total += confirm * (m + 1) * walk // (n + m + 1)
-    return total
-
-
-def p_dsa_at_state(spec: AttackSpec, i: int) -> float:
-    """Probability the attack first achieves both conditions exactly at state i.
-
-    Zero for i <= 2*n_bc (the attacker needs n_bc+1 + n_bc arrivals at
-    minimum). Beyond that, two disjoint path families contribute:
-
-    - confirmation completes at state i itself: the i-th arrival is the
-      n_bc-th honest block and the attacker already leads, with mass
-      binom(i-1, n_bc-1) * p_h^n_bc * p_a^(i-n_bc); this exists at every
-      i > 2*n_bc, odd or even.
-    - confirmation completed earlier and the walk first drops below zero at
-      state i: ballot-number path counts; parity forces these onto odd i
-      only (the walk must travel from a nonnegative height to -1).
-
-    Both terms are evaluated in log space with exact integer coefficients, so
-    deep confirmation counts cannot underflow prematurely.
-    """
-    if not isinstance(i, int) or isinstance(i, bool) or i < 1:
-        raise DomainError(f"state index must be an integer >= 1, got {i!r}")
-    n_bc = spec.n_bc
-    if i <= 2 * n_bc:
-        return 0.0
-    ln_pa = math.log(spec.p_a)
-    ln_ph = math.log(spec.p_h)
-    total = math.exp(
-        math.log(math.comb(i - 1, n_bc - 1)) + n_bc * ln_ph + (i - n_bc) * ln_pa
-    )
-    if (i - 2 * n_bc - 1) % 2 == 0:  # odd i, since 2*n_bc is even
-        n = (i - 2 * n_bc - 1) // 2
-        w = _ballot_coeff(n_bc, n)
-        total += math.exp(
-            math.log(w) + (n_bc + n + 1) * ln_pa + (n_bc + n) * ln_ph
-        )
-    return total
 
 
 # a positive term below this share of a float sum s is below half an ulp of

@@ -1,7 +1,10 @@
 """Oracles for the per-state masses and the finite-cut moments.
 
 - exact_mass: the mass of state i at 40 digits in mpmath, from the exact
-  integer weights of walk._ballot_coeff and math.comb.
+  integer weights of _ballot_coeff and math.comb. _ballot_coeff(N, n) is
+  the path count W(n) of timing._state_mass_iter in exact integers, summed
+  term by term; it shares no rounding with timing.p_dsa_at_state, which
+  seeds its float sum with the saddle-point terms.
 - walk_dp_cut: the finite-cut success probability and mean arrival count by
   a forward dynamic program over the block-arrival walk, which shares no
   formula with the package: after i arrivals the state is the honest count
@@ -16,13 +19,30 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import mpmath
 import numpy as np
 
 from doublespend.specfun import scaled_pow
 from doublespend.timing import _central
-from doublespend.walk import _ballot_coeff
+
+
+@lru_cache(maxsize=None)
+def _ballot_coeff(n_bc: int, n: int) -> int:
+    # integer weight of the odd-state term: paths that confirm at state
+    # j = 2*n_bc - m, m = 0..n_bc (C(j-1, n_bc-1) ways to place the
+    # confirming blocks) and then first touch -1 after 2n + m more steps,
+    # ballot_number(n, m) = (m+1) C(2n+m, n) / (n+m+1) ways; both binomials
+    # step in m by exact integer ratios
+    confirm, walk = math.comb(2 * n_bc - 1, n_bc - 1), math.comb(2 * n, n)
+    total = 0
+    for m in range(n_bc + 1):
+        if m:
+            confirm = confirm * (n_bc - m + 1) // (2 * n_bc - m)
+            walk = walk * (2 * n + m) // (n + m)
+        total += confirm * (m + 1) * walk // (n + m + 1)
+    return total
 
 
 def exact_mass(p_a: float, n_bc: int, i: int) -> mpmath.mpf:

@@ -51,7 +51,7 @@ def test_removed_names_are_gone():
     removed = ("ballot_gen_fn", "ballot_gen_fn_deriv", "binom_gen_fn",
                "binom_gen_fn_deriv", "regularized_gamma_q", "erlang_cdf",
                "WalkPath", "DefectiveTimeDistribution",
-               "dsa_time_distribution")
+               "dsa_time_distribution", "_ballot_coeff")
     for module in (doublespend, specfun, simulate, timing, walk):
         for name in removed:
             assert not hasattr(module, name), (module.__name__, name)

@@ -23,10 +23,10 @@ from doublespend.timing import (
     dsa_time_density,
     expected_success_time,
     expected_success_time_inf,
+    p_dsa_at_state,
     sampling_grid,
 )
-from doublespend.walk import INFINITE, AttackSpec, p_dsa, p_dsa_at_state, \
-    premine_success_prob
+from doublespend.walk import INFINITE, AttackSpec, p_dsa, premine_success_prob
 from mass_oracles import exact_mass, full_seed, walk_dp_cut
 from race_oracles import exact_mean_arrivals, exact_p_dsa, rel_error
 
@@ -324,7 +324,8 @@ def test_state_masses_at_depth(p_a):
     spec = AttackSpec(p_a=p_a, n_bc=500, t_cut=2000.0)
     masses = itertools.islice(timing._state_mass_iter(spec), 100)
     for i, mass in enumerate(masses, start=2 * spec.n_bc + 1):
-        assert math.isclose(mass, p_dsa_at_state(spec, i), rel_tol=1e-12), i
+        exact = float(exact_mass(p_a, spec.n_bc, i))
+        assert math.isclose(mass, exact, rel_tol=1e-12), i
 
 
 @pytest.mark.parametrize("p_a, n_bc, states", [
@@ -336,7 +337,7 @@ def test_state_masses_where_lanes_decay_from_normal(p_a, n_bc, states):
     masses = list(itertools.islice(timing._state_mass_iter(spec),
                                    max(states) - 2 * n_bc))
     for i in states:
-        exact = p_dsa_at_state(spec, i)
+        exact = float(exact_mass(p_a, n_bc, i))
         assert math.isclose(masses[i - 2 * n_bc - 1], exact, rel_tol=1e-12), i
 
 
@@ -346,8 +347,23 @@ def test_confirmation_last_lane_at_depth():
     spec = AttackSpec(p_a=0.99, n_bc=250, t_cut=300.0)
     masses = list(itertools.islice(timing._state_mass_iter(spec), 1500))
     for i in [*range(700, 2001, 50), 1000, 2000]:
-        exact = p_dsa_at_state(spec, i)
+        exact = float(exact_mass(spec.p_a, spec.n_bc, i))
         assert math.isclose(masses[i - 501], exact, rel_tol=1e-12), i
+
+
+def test_state_mass_against_exact_masses_on_a_seeded_grid():
+    # one state at a time from the pair seed and the top bits of the exact
+    # binomial; the log of exact integers it replaced was 5e-13 off here
+    rng = random.Random(20261021)
+    specs = [(0.5, 1000, 5001), (0.99, 1000, 2001), (0.5, 1, 3003)]
+    for k in range(400):
+        n_bc = min(1000, int(math.exp(rng.uniform(0.0, math.log(1001)))))
+        p_a = (0.5, 0.99)[k % 16 // 8] if k % 8 == 0 else rng.uniform(0.01, 0.99)
+        specs.append((p_a, n_bc, 2 * n_bc + rng.randint(1, 3001)))
+    for p_a, n_bc, i in specs:
+        mass = p_dsa_at_state(AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE), i)
+        exact = exact_mass(p_a, n_bc, i)
+        assert abs(mass - exact) <= 1e-14 * exact + 2.0 ** -1073, (p_a, n_bc, i)
 
 
 def test_pair_seed_stops_on_the_bits_of_an_every_term_stop():

@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 
 from doublespend import timing, walk
 from doublespend.errors import DomainError
-from doublespend.timing import attack_success_prob
+from doublespend.timing import attack_success_prob, p_dsa_at_state
 from doublespend.walk import (
     INFINITE,
     AttackSpec,
-    _ballot_coeff,
     _deadline,
     ballot_number,
     p_dsa,
-    p_dsa_at_state,
     premine_success_prob,
 )
+from mass_oracles import _ballot_coeff
 from race_oracles import exact_p_dsa, full_race, rel_error
 
 
