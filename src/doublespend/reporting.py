@@ -14,7 +14,9 @@ strict parser); non-finite values are rendered as the strings "infinite",
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -381,12 +383,12 @@ def render_rows(params: Mapping[str, object], rows: Iterable[Mapping[str, object
     if fmt == "json":
         return render_json(params, rows)
     if fmt == "csv":
-        lines = _params_text(params)
-        lines.append(",".join(fieldnames))
-        lines.extend(
-            ",".join(format_full(row[f]) for f in fieldnames) for row in rows
-        )
-        return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        buf.writelines(line + "\n" for line in _params_text(params))
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(fieldnames)
+        writer.writerows([format_full(row[f]) for f in fieldnames] for row in rows)
+        return buf.getvalue()
     if fmt == "text":
         cells = [[format_sig(row[f]) for f in fieldnames] for row in rows]
         widths = [

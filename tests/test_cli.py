@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through run()."""
 
+import csv
 import json
 import math
 from pathlib import Path
@@ -183,6 +184,21 @@ class TestSmoke:
                     "--nbc", "5", "--cut-mult", "4", "--format", "json"]) == 0
         _, result = _json_out(capsys)
         assert result["gamma"] == 2.99e-22 * 2.35e18 * 600.0
+
+    def test_case_study_csv_quotes_a_name_with_a_comma(self, tmp_path, capsys):
+        # joined with a bare "," this printed a 16-field row under a
+        # 15-field header
+        name = 'Bitcoin Cash, "ABC"'
+        conf = tmp_path / "q.conf"
+        conf.write_text(BCH_CONF.replace("name = bch", f"name = {name}"),
+                        encoding="utf-8")
+        assert run(["case-study", "--config", str(conf), "--pa", "0.35",
+                    "--nbc", "5", "--cut-mult", "4", "--format", "csv"]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines()
+                 if not l.startswith("#")]
+        header, row = csv.reader(lines)
+        assert len(row) == len(header)
+        assert row[header.index("network")] == name
 
 
 class TestExitCodes:
