@@ -60,8 +60,10 @@ def _float_list(text: str) -> list[float]:
 
 
 def _add_point_flags(parser: argparse.ArgumentParser, *, economics: bool = False,
-                     cut_required: bool = True, rate: bool = True) -> None:
-    """The operating point: share, depth, tolerance, cut and honest rate."""
+                     cut_required: bool = True, rate: bool = True,
+                     tol: bool = True) -> None:
+    """The operating point: share, depth, tolerance (unless tol is unset),
+    cut and honest rate."""
     parser.add_argument("--pa", type=float, required=True,
                         help="attacker share of total block-finding power")
     parser.add_argument("--nbc", type=int, required=True,
@@ -74,8 +76,9 @@ def _add_point_flags(parser: argparse.ArgumentParser, *, economics: bool = False
                             help="block reward")
         parser.add_argument("--value", type=float, default=0.0, metavar="C",
                             help="double-spent transaction value (default 0)")
-    parser.add_argument("--tol", type=float, default=_DEFAULT_TOL,
-                        help=f"series truncation tolerance (default {_DEFAULT_TOL:g})")
+    if tol:
+        parser.add_argument("--tol", type=float, default=_DEFAULT_TOL,
+                            help=f"series truncation tolerance (default {_DEFAULT_TOL:g})")
     group = parser.add_mutually_exclusive_group(required=cut_required)
     group.add_argument("--cut-time", type=_cut_float, dest="cut_time",
                        metavar="SECONDS|inf",
@@ -355,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("simulate", _cmd_simulate, "Monte Carlo estimate of success "
                                            "probability and timing")
-    _add_point_flags(p)
+    _add_point_flags(p, tol=False)
     p.add_argument("--trials", type=int, default=_DEFAULT_TRIALS,
                    help=f"number of trials (default {_DEFAULT_TRIALS})")
     p.add_argument("--seed", type=int, default=_DEFAULT_SEED,

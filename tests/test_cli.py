@@ -205,6 +205,12 @@ class TestExitCodes:
     def test_missing_cut_flag(self, capsys):
         assert run(["prob", "--pa", "0.35", "--nbc", "5"]) == 2
 
+    def test_simulate_takes_no_tolerance(self, capsys):
+        # the estimator truncates no series, so it has no --tol to read
+        assert run(["simulate", "--pa", "0.35", "--nbc", "5", "--cut-mult",
+                    "4", "--trials", "10", "--tol", "1e-12"]) == 2
+        assert "--tol" in capsys.readouterr().err
+
     def test_conflicting_cut_flags(self, capsys):
         assert run(["prob", "--pa", "0.35", "--nbc", "5",
                     "--cut-time", "100", "--cut-mult", "4"]) == 2
