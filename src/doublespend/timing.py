@@ -115,22 +115,19 @@ def p_dsa_at_state(spec: AttackSpec, i: int) -> float:
     """Probability the attack first achieves both conditions exactly at state i.
 
     Zero for i <= 2*n_bc (the attacker needs n_bc+1 + n_bc arrivals at
-    minimum). Beyond that, two disjoint path families contribute:
+    minimum). Beyond that, two disjoint path families contribute (see
+    _state_mass_iter):
 
-    - confirmation completes at state i itself: the i-th arrival is the
-      n_bc-th honest block and the attacker already leads, with mass
-      binom(i-1, n_bc-1) * p_h^n_bc * p_a^(i-n_bc); this exists at every
-      i > 2*n_bc, odd or even.
+    - confirmation completes at state i, the attacker already ahead:
+      binom(i-1, n_bc-1) p_h^n_bc p_a^(i-n_bc), on every state;
     - confirmation completed earlier and the walk first drops below zero at
-      state i: q(n) on odd state i = 2*n_bc + 1 + 2n only (the walk must
-      travel from a nonnegative height to -1), see _state_mass_iter.
+      state i: q(n) on odd i = 2*n_bc + 1 + 2n only.
 
-    The first term takes the top 64 bits of the exact binomial and the
-    powers from scaled_pow, the second one pair seed (_ballot_seed); each is
-    one ldexp, so neither underflows before the end. Within about 1e-14
-    relative of the exact mass; a mass below the float range reads 0. The
-    cost is one exact binomial and at most n_bc terms of the seed's sum, at
-    any i, and nothing is kept between calls.
+    The first takes the top 64 bits of the exact binomial and the powers
+    from scaled_pow, the second one pair seed; each is one ldexp. Within
+    about 1e-14 of the exact mass (a mass below the float range reads 0),
+    for one exact binomial and at most n_bc seed terms, nothing kept
+    between calls.
     """
     if not isinstance(i, int) or isinstance(i, bool) or i < 1:
         raise DomainError(f"state index must be an integer >= 1, got {i!r}")
