@@ -153,9 +153,9 @@ def _ballot_seed(n_bc: int, n: int, pa: float, ph: float) -> tuple[float, float,
     the m-terms of W(n) (see _state_mass_iter) relative to the m = 0 term;
     each ratio t_m / t_(m-1) is one correctly rounded integer division, and
     the ratios fall in m, so the sum stops once its geometric tail is below
-    2^-60 of it. The stop is tested every 8th term only: the terms past the first
-    stop are each below 2^-60 of their sum, less than half an ulp of it, so
-    adding them leaves the sum's bits as they are. C(2k, k) = 4^k
+    2^-60 of it. The stop is tested every 8th term only: the terms past the
+    first stop are each below 2^-60 of their sum, less than half an ulp of
+    it, so adding them leaves the sum's bits as they are. C(2k, k) = 4^k
     exp(stirlerr(2k) - 2 stirlerr(k)) / sqrt(pi k) and the powers come from
     scaled_pow, so no large logarithm is rounded.
     q(n+1) = q(n) p_a p_h sum_m t_m H_m / S(n), H_m =
