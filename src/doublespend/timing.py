@@ -151,7 +151,7 @@ def _ballot_seed(n_bc: int, n: int, pa: float, ph: float) -> tuple[float, float,
 
     W(n) = C(2N-1, N-1) C(2n, n) / (n+1) * S(n), where S(n) = sum_m t_m sums
     the m-terms of W(n) (see _state_mass_iter) relative to the m = 0 term;
-    each ratio t_m / t_(m-1) is one correctly rounded integer division, and
+    each ratio t_m / t_(m-1) is a quotient of integer products, and
     the ratios fall in m, so the sum stops once its geometric tail is below
     2^-60 of it. The stop is tested every 8th term only: the terms past the
     first stop are each below 2^-60 of their sum, less than half an ulp of
@@ -162,17 +162,29 @@ def _ballot_seed(n_bc: int, n: int, pa: float, ph: float) -> tuple[float, float,
     (2n+m+1)(2n+m+2) / ((n+1)(n+m+2)) being the exact step of the m-term
     from n to n+1; weighting the same rounded t_m keeps the pair's ratio
     within a few ulps, which the recurrence needs.
+    The integer factors are carried as floats. Each product of them is an
+    integer of at most (N+1)^2 (2n+N+2) or (2n+N+2)^2, below 2^53 while
+    N <= 20,000 and n <= 10^7, so it is exact; a quotient of exact floats
+    is correctly rounded (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2002, sec. 2.1), so each ratio and H_m is the one rounding
+    of the integer quotient, bit for bit. Past that range, which only
+    p_dsa_at_state reaches, a product may round as well.
     """
+    k, top = float(n), float(n_bc)
+    n1, n2, top1, top2 = k + 1.0, 2.0 * k, top + 1.0, 2.0 * top
     s0 = t0 = 1.0
-    u = s1 = (2 * n + 1) * (2 * n + 2) / ((n + 1) * (n + 2))
-    for m in range(1, n_bc + 1):
-        r0 = (n_bc - m + 1) * (m + 1) * (2 * n + m) / (
-            (2 * n_bc - m) * m * (n + m + 1))
+    u = s1 = (n2 + 1.0) * (n2 + 2.0) / (n1 * (k + 2.0))
+    m = 0.0
+    for j in range(1, n_bc + 1):
+        m += 1.0
+        w = n2 + m
+        q = n1 + m
+        r0 = (top1 - m) * (m + 1.0) * w / ((top2 - m) * m * q)
         t0 *= r0
-        u_next = t0 * ((2 * n + m + 1) * (2 * n + m + 2) / ((n + 1) * (n + m + 2)))
+        u_next = t0 * ((w + 1.0) * (w + 2.0) / (n1 * (q + 1.0)))
         s0 += t0
         s1 += u_next
-        if not m % 8:
+        if not j % 8:
             # the ratios of both sums' terms fall in m, and r1 > r0
             r1 = u_next / u
             if r1 < 1.0 and u_next * r1 <= (1.0 - r1) * s1 * 2.0 ** -60 and (
@@ -207,34 +219,40 @@ def _state_masses(spec: AttackSpec):
     ballot = True  # the overtake family is still inside the float range
     odd = True  # state i is odd, so the overtake family has mass on it
     a = b = 0.0
-    i = 2 * n_bc + 1
-    n = 0
+    # the integer factors are floats: every sum and product in a coefficient
+    # but its last product is an integer below 2^53 while n < 3 * 10^7 (a
+    # mixture pass stops near n = 10^6), so each coefficient takes the one
+    # rounding that converting its exact integer gives
+    big_n = float(n_bc)
+    g1, g0 = 4.0 * big_n + 10.0, 5.0 * big_n + 7.0
+    i = 2.0 * big_n + 1.0
+    n = 0.0
     while True:
         p_i = ldexp(t2, e2)
         if ballot and odd:
-            if n % _RESEED == 0:
-                a, b, e = _ballot_seed(n_bc, n, pa, ph)
+            if n % _RESEED == 0.0:
+                a, b, e = _ballot_seed(n_bc, int(n), pa, ph)
                 ballot = frexp(a)[1] + e >= _BELOW_FLOATS
             p_i += ldexp(a, e)
             # the recurrence at n for q = W r^n * const, r = p_a p_h: one
             # rounded r throughout, since r * r rounded apart from r splits
             # the double root and the drift grows quadratically
-            nn = n + n_bc
-            c = (2 * (nn + 2) * (4 * n * n + (4 * n_bc + 10) * n + 5 * n_bc + 7) * b
-                 - 4 * (nn + 1) * (2 * n + 1) * (2 * nn + 1) * (r * a)
-                 ) * r / ((n + 2) * (nn + 2) * (nn + 3))
+            nn = n + big_n
+            c = (2.0 * (nn + 2.0) * ((4.0 * n + g1) * n + g0) * b
+                 - 4.0 * (nn + 1.0) * (2.0 * n + 1.0) * (2.0 * nn + 1.0) * (r * a)
+                 ) * r / ((n + 2.0) * (nn + 2.0) * (nn + 3.0))
             a, b = b, c if c > 0.0 else 0.0
             if b < low:
                 b, d = frexp(b)
                 a, e = ldexp(a, -d), e + d
-            n += 1
+            n += 1.0
         odd = not odd
         yield p_i
-        t2 *= i / (i - n_bc + 1) * pa
+        t2 *= i / (i - big_n + 1.0) * pa
         if not low <= t2 <= high:
             t2, d = frexp(t2)
             e2 += d
-        i += 1
+        i += 1.0
 
 
 def _check_tol(tol: float) -> None:
@@ -318,7 +336,7 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, density: bool,
     acc_p = acc_t = acc_d = 0.0
     p_as = None
     mass_seen = moment_seen = 0.0
-    i = i0
+    i = float(i0)  # exact, and float-only arithmetic is cheaper
     left = 64  # states to the next fixed checkpoint
     for p_i in states:
         cdf_next = cdf - u
@@ -336,7 +354,7 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, density: bool,
         if not left or cdf_next <= 1e-280:
             left = left or 64
             cdf_next = regularized_gamma_p(i + 1.0, x)
-            u = poisson_term(i + 1, x)
+            u = poisson_term(i + 1.0, x)
             bound = cdf_next * max(total_mass - mass_seen, 0.0)
             if bound <= tol * max(acc_p, _TINY):
                 if p_as is None:
@@ -347,15 +365,15 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, density: bool,
                     if t_cut * bound <= tol_t or cdf_next * max(
                             total_moment - moment_seen, 0.0) / lam_t <= tol_t:
                         return p_as, acc_t / acc_p if acc_p > 0.0 else 0.0
-                elif i + 1 > x and (
-                        w * (i + 1) / (i + 1 - x) <= tol * max(acc_d, _TINY)):
+                elif i + 1.0 > x and (
+                        w * (i + 1.0) / (i + 1.0 - x) <= tol * max(acc_d, _TINY)):
                     return p_as, lam_t * acc_d
-            if i + 1 - i0 >= _MIXTURE_CAP:
+            if i + 1.0 - i0 >= _MIXTURE_CAP:
                 raise _cap_error(acc_p)
         else:
-            u *= x / (i + 1)
+            u *= x / (i + 1.0)
         cdf = cdf_next
-        i += 1
+        i += 1.0
     raise ConvergenceError("Erlang-mixture series terminated unexpectedly", acc_p)
 
 
