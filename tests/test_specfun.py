@@ -135,6 +135,18 @@ def test_scaled_pow_against_mpmath(x, k):
         assert abs(mpmath.ldexp(m, e) / exact - 1) <= 1e-13
 
 
+@pytest.mark.parametrize("x", [1e-300, 1e-100, 0.75 * 2.0 ** -64, 5e-324])
+@pytest.mark.parametrize("k", [0, 1, 1000, 3500, 10 ** 6 + 6])
+def test_scaled_pow_below_2_to_the_minus_64(x, k):
+    # the binary exponent is split off, so the mantissa's power takes one
+    # math.pow per 1000 factors; it took one per factor below 2^-1000
+    m, e = scaled_pow(x, k)
+    assert 0.5 <= m < 1.0 or (k == 0 and m == 1.0)
+    with mpmath.workdps(50):
+        exact = mpmath.mpf(x) ** k
+        assert abs(mpmath.ldexp(m, e) / exact - 1) <= 1e-13
+
+
 ERLANG_CASES = [
     (1, 0.01, 30.0),
     (3, 1 / 600, 1800.0),

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from dataclasses import replace
 
 import mpmath
@@ -364,6 +365,17 @@ def test_state_mass_against_exact_masses_on_a_seeded_grid():
         mass = p_dsa_at_state(AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE), i)
         exact = exact_mass(p_a, n_bc, i)
         assert abs(mass - exact) <= 1e-14 * exact + 2.0 ** -1073, (p_a, n_bc, i)
+
+
+def test_state_mass_at_a_tiny_share_is_quick():
+    # scaled_pow took one math.pow per factor below 2^-1000: 0.43 s here
+    spec = AttackSpec(p_a=1e-300, n_bc=5, t_cut=INFINITE)
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert p_dsa_at_state(spec, 10 ** 6 + 11) == 0.0
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.01
 
 
 def test_pair_seed_stops_on_the_bits_of_an_every_term_stop():
