@@ -60,10 +60,11 @@ def _float_list(text: str) -> list[float]:
 
 
 def _add_point_flags(parser: argparse.ArgumentParser, *, economics: bool = False,
-                     cut_required: bool = True, rate: bool = True,
-                     tol: bool = True) -> None:
-    """The operating point: share, depth, tolerance (unless tol is unset),
-    cut and honest rate."""
+                     value: bool = False, cut_required: bool = True,
+                     rate: bool = True, tol: bool = True) -> None:
+    """The operating point: share, depth, the cost and reward rates (if
+    economics is set) and transaction value (if value is set), tolerance
+    (unless tol is unset), cut and honest rate."""
     parser.add_argument("--pa", type=float, required=True,
                         help="attacker share of total block-finding power")
     parser.add_argument("--nbc", type=int, required=True,
@@ -74,6 +75,7 @@ def _add_point_flags(parser: argparse.ArgumentParser, *, economics: bool = False
                                  "attacker-scale hashrate")
         parser.add_argument("--beta", type=float, required=True,
                             help="block reward")
+    if value:
         parser.add_argument("--value", type=float, default=0.0, metavar="C",
                             help="double-spent transaction value (default 0)")
     if tol:
@@ -326,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_flags(command("expect-time", _cmd_expect_time,
                              "conditional mean success time"))
     _add_point_flags(command("profit", _cmd_profit, "expected attack profit"),
-                     economics=True)
+                     economics=True, value=True)
     _add_point_flags(command("creq", _cmd_creq,
                              "transaction value required for profitability"),
                      economics=True)

@@ -77,6 +77,13 @@ class TestSmoke:
         assert result["c_req"] == pytest.approx(16.22, rel=1e-2)
         assert result["assessment"] == "profitable above required value"
 
+    def test_creq_takes_no_value(self, capsys):
+        # the required value does not depend on one; the flag was parsed
+        # and never read
+        assert run(["creq", "--pa", "0.35", "--nbc", "5", "--cut-mult", "4",
+                    "--gamma", "0.422", "--beta", "0.44", "--value", "7"]) == 2
+        assert "unrecognized arguments: --value 7" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cmd", [
         ["creq", "--gamma", "0.422", "--beta", "0.44"], ["case-study"]])
     def test_unbounded_subhalf_at_depth(self, cmd, bch_config, capsys):

@@ -32,7 +32,8 @@ POINTS = (
     ("--pa", "0.6", "--nbc", "3", "--cut-mult", "2"),
     ("--pa", "0.6", "--nbc", "3", "--cut-time", "inf"),
 )
-ECON = ("--gamma", "0.422", "--beta", "0.44", "--value", "20")
+RATES = ("--gamma", "0.422", "--beta", "0.44")  # creq takes no value
+ECON = (*RATES, "--value", "20")
 FORMATS = ("text", "csv", "json")
 # the earliest achieving state cannot arrive before this cut: p_as is 0
 NEVER = ("--pa", "0.35", "--nbc", "5", "--cut-time", "1e-30")
@@ -49,7 +50,7 @@ def _cases() -> list[tuple[str, ...]]:
             cases.append(("prob", *point, *out))
             cases.append(("expect-time", *point, *out))
             cases.append(("profit", *point, *ECON, *out))
-            cases.append(("creq", *point, *ECON, *out))
+            cases.append(("creq", *point, *RATES, *out))
             cases.append(("case-study", "--config", "bch.conf", *point, *out))
         cases += [
             ("prob", "--pa", "0.45", "--nbc", "2", "--cut-time", "3000",
@@ -78,7 +79,7 @@ def _cases() -> list[tuple[str, ...]]:
     cases += [
         ("expect-time", "--pa", "0.5", "--nbc", "3", "--cut-mult", "inf"),
         ("profit", "--pa", "0.5", "--nbc", "3", "--cut-mult", "inf", *ECON),
-        ("creq", *NEVER, *ECON),
+        ("creq", *NEVER, *RATES),
         ("expect-time", *NEVER),
         ("case-study", "--config", "bch.conf", *NEVER),
         ("table", "--nbc", "5", "--pa", "0.35", "--cut-mult", "1e-33"),
