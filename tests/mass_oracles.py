@@ -13,8 +13,14 @@
   to 1e-4951 on x86-64, so no rescaling is needed); the Erlang CDFs come from
   one mpmath incomplete gamma and the recursion P(i+1, x) = P(i, x) -
   e^-x x^i / i! at 40 digits.
-- full_seed: timing._ballot_seed with its stop rule tested at every term,
-  the reference for the seed that tests the rule every 8th term only.
+- full_seed: timing._ballot_seed with its stop rule tested at every term
+  and its ratios formed from Python integers (each one correctly rounded
+  integer division), the reference for the seed that tests the rule every
+  8th term only and carries its integer factors as floats.
+- int_state_masses: timing._state_masses with the recurrence's
+  coefficients and the lane ratio formed from Python integers, each
+  rounded once when it meets a float, and seeded by full_seed; the
+  reference for the iterator, which forms them from floats.
 """
 from __future__ import annotations
 
@@ -25,7 +31,7 @@ import mpmath
 import numpy as np
 
 from doublespend.specfun import scaled_pow
-from doublespend.timing import _central
+from doublespend.timing import _BELOW_FLOATS, _LANE_FLOOR, _RESEED, _central
 
 
 @lru_cache(maxsize=None)
@@ -88,8 +94,8 @@ def walk_dp_cut(p_a: float, n_bc: int, x: float) -> tuple[float, float]:
 
 
 def full_seed(n_bc: int, n: int, pa: float, ph: float) -> tuple[float, float, int]:
-    """timing._ballot_seed, stopping at the first term whose geometric tail
-    is below 2^-60 of both sums."""
+    """timing._ballot_seed in integer ratios, stopping at the first term
+    whose geometric tail is below 2^-60 of both sums."""
     s0 = t0 = 1.0
     u = s1 = (2 * n + 1) * (2 * n + 2) / ((n + 1) * (n + 2))
     for m in range(1, n_bc + 1):
@@ -108,3 +114,49 @@ def full_seed(n_bc: int, n: int, pa: float, ph: float) -> tuple[float, float, in
     a = (_central(n_bc) * _central(n) * s0 / (2 * (n + 1))) * ma * mh
     b = a * (pa * ph) * (s1 / s0)
     return a, b, ea + eh + 2 * (n_bc + n)
+
+
+def int_state_masses(spec):
+    """timing._state_mass_iter with integer coefficients and seeds from
+    full_seed."""
+    n_bc = spec.n_bc
+    pa, ph = spec.p_a, spec.p_h
+    r = pa * ph
+    ldexp, frexp = math.ldexp, math.frexp
+    low, high = _LANE_FLOOR, 1.0 / _LANE_FLOOR
+    # C(2N, N-1) p_h^N p_a^(N+1) = t2 * 2^e2, C(2N, N-1) = 4^N c(N) N/(N+1)
+    ma, ea = scaled_pow(pa, n_bc + 1)
+    mh, eh = scaled_pow(ph, n_bc)
+    t2, e2 = frexp(_central(n_bc) * n_bc / (n_bc + 1) * ma * mh)
+    e2 += ea + eh + 2 * n_bc
+    ballot = True  # the overtake family is still inside the float range
+    odd = True  # state i is odd, so the overtake family has mass on it
+    a = b = 0.0
+    i = 2 * n_bc + 1
+    n = 0
+    while True:
+        p_i = ldexp(t2, e2)
+        if ballot and odd:
+            if n % _RESEED == 0:
+                a, b, e = full_seed(n_bc, n, pa, ph)
+                ballot = frexp(a)[1] + e >= _BELOW_FLOATS
+            p_i += ldexp(a, e)
+            # the recurrence at n for q = W r^n * const, r = p_a p_h: one
+            # rounded r throughout, since r * r rounded apart from r splits
+            # the double root and the drift grows quadratically
+            nn = n + n_bc
+            c = (2 * (nn + 2) * (4 * n * n + (4 * n_bc + 10) * n + 5 * n_bc + 7) * b
+                 - 4 * (nn + 1) * (2 * n + 1) * (2 * nn + 1) * (r * a)
+                 ) * r / ((n + 2) * (nn + 2) * (nn + 3))
+            a, b = b, c if c > 0.0 else 0.0
+            if b < low:
+                b, d = frexp(b)
+                a, e = ldexp(a, -d), e + d
+            n += 1
+        odd = not odd
+        yield p_i
+        t2 *= i / (i - n_bc + 1) * pa
+        if not low <= t2 <= high:
+            t2, d = frexp(t2)
+            e2 += d
+        i += 1
