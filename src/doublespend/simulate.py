@@ -157,11 +157,8 @@ def simulate_one(spec: AttackSpec, stream_seed: int | tuple[int, int],
             )
     else:
         key = (_check_seed(stream_seed), 0)
-    if independent_clocks:
-        rows = _clock_rows(spec, key[0], key[1], 1, event_cap)
-    else:
-        rows = _rows(_walk(spec, key[0], key[1], 1, event_cap))
-    success, t_dsa, blocks_a, blocks_h, truncated = next(rows)
+    source = _clocks if independent_clocks else _walk
+    success, t_dsa, blocks_a, blocks_h, truncated = next(source(spec, *key, 1, event_cap))
     return TrialOutcome(success=success, t_dsa=t_dsa if success else None,
                         blocks_a=blocks_a, blocks_h=blocks_h, truncated=truncated)
 
@@ -180,14 +177,14 @@ def _first_chunks(spec: AttackSpec, event_cap: int) -> int:
 
 
 def _walk(spec: AttackSpec, master_seed: int, first: int, count: int,
-          event_cap: int) -> Iterator[tuple[np.ndarray, ...]]:
+          event_cap: int) -> Iterator[tuple]:
     """Walk trials first .. first + count - 1 of the run seeded master_seed.
 
-    Yields, block by block in trial order, the arrays (success, t_dsa,
-    blocks_a, blocks_h, truncated); t_dsa is NaN where a trial did not
-    succeed. Trials still open after the first pass go on with twice as
-    many arrivals per pass. No array holds more than about _BLOCK_ELEMENTS
-    arrivals.
+    Yields one row (success, t_dsa, blocks_a, blocks_h, truncated) per
+    trial, in trial order; t_dsa is NaN where a trial did not succeed.
+    Trials are resolved a block at a time, and those still open after the
+    first pass go on with twice as many arrivals per pass. No array holds
+    more than about _BLOCK_ELEMENTS arrivals.
     """
     counter = [0, 0, 0, 0]
     state = {"bit_generator": "Philox", "state": {"counter": counter, "key": [master_seed, 0]},
@@ -231,7 +228,7 @@ def _walk(spec: AttackSpec, master_seed: int, first: int, count: int,
                                           t_base, a_base))
             open_rows = np.concatenate(still_open)
             events += drawn
-        yield out
+        yield from zip(*(column.tolist() for column in out))
 
 
 def _settle(spec: AttackSpec, words: np.ndarray, events: int, event_cap: int,
@@ -300,15 +297,10 @@ def _settle(spec: AttackSpec, words: np.ndarray, events: int, event_cap: int,
     return i
 
 
-def _rows(blocks: Iterable[tuple[np.ndarray, ...]]) -> Iterator[tuple]:
-    for block in blocks:
-        yield from zip(*(column.tolist() for column in block))
-
-
-def _clock_rows(spec: AttackSpec, master_seed: int, first: int, count: int,
-                event_cap: int) -> Iterator[tuple]:
-    # trial k races on a Generator over Philox keyed (master_seed, k); the
-    # explicit dtype keeps seeds above 2**53 from a cast through float64
+def _clocks(spec: AttackSpec, master_seed: int, first: int, count: int,
+            event_cap: int) -> Iterator[tuple]:
+    # _walk's rows from two racing clocks: trial k draws from a Generator on
+    # Philox keyed (master_seed, k), the dtype keeping seeds above 2**53 exact
     for k in range(first, first + count):
         key = np.array((master_seed, k), dtype=np.uint64)
         yield _simulate_two_clocks(spec, np.random.Generator(np.random.Philox(key=key)),
@@ -402,6 +394,17 @@ def _aggregate(outcomes: Iterable[tuple[bool, float, int, int, bool]],
     )
 
 
+def _run(spec: AttackSpec, trials: int, master_seed: int, event_cap: int | None,
+         source: Callable[..., Iterator[tuple]], trace_to: IO[str] | None,
+         profit_of: Callable[[float | None], float] | None = None) -> SimulationSummary:
+    # check the inputs, then fold the source's trials 0 .. trials - 1 in order
+    _check_trials(trials)
+    _check_seed(master_seed)
+    event_cap = _check_cap(spec, event_cap)
+    return _aggregate(source(spec, master_seed, 0, trials, event_cap), trials, master_seed,
+                      profit_of=profit_of, trace_to=trace_to)
+
+
 def estimate(spec: AttackSpec, trials: int, master_seed: int,
              event_cap: int | None = None,
              independent_clocks: bool = False,
@@ -412,14 +415,8 @@ def estimate(spec: AttackSpec, trials: int, master_seed: int,
     aggregates in fixed trial order. Optional trace_to receives one CSV row
     per trial.
     """
-    _check_trials(trials)
-    _check_seed(master_seed)
-    event_cap = _check_cap(spec, event_cap)
-    if independent_clocks:
-        rows = _clock_rows(spec, master_seed, 0, trials, event_cap)
-    else:
-        rows = _rows(_walk(spec, master_seed, 0, trials, event_cap))
-    return _aggregate(rows, trials, master_seed, trace_to=trace_to)
+    return _run(spec, trials, master_seed, event_cap,
+                _clocks if independent_clocks else _walk, trace_to)
 
 
 def estimate_profit(model: EconomicModel, spec: AttackSpec, trials: int,
@@ -436,9 +433,6 @@ def estimate_profit(model: EconomicModel, spec: AttackSpec, trials: int,
             "profit estimation needs a finite cut-time: a failed unbounded "
             "attempt has unbounded cost"
         )
-    _check_trials(trials)
-    _check_seed(master_seed)
-    event_cap = _check_cap(spec, event_cap)
     lam_a = spec.lambda_a
 
     def profit_of(t_dsa: float | None) -> float:
@@ -447,8 +441,7 @@ def estimate_profit(model: EconomicModel, spec: AttackSpec, trials: int,
                 - opex(model, lam_a, t_dsa)
         return -opex(model, lam_a, spec.t_cut)
 
-    return _aggregate(_rows(_walk(spec, master_seed, 0, trials, event_cap)), trials,
-                      master_seed, profit_of=profit_of, trace_to=trace_to)
+    return _run(spec, trials, master_seed, event_cap, _walk, trace_to, profit_of)
 
 
 def enumerate_exact(spec: AttackSpec, i_max: int) -> list[float]:

@@ -292,9 +292,10 @@ def _block_rows(spec, event_cap):
     return max(1, _BLOCK_ELEMENTS // (_CHUNK * chunks))
 
 
-def _trace_rows(spec, trials, seed, event_cap):
+def _trace_rows(spec, trials, seed, event_cap, independent_clocks=False):
     buf = io.StringIO()
-    estimate(spec, trials, seed, event_cap=event_cap, trace_to=buf)
+    estimate(spec, trials, seed, event_cap=event_cap,
+             independent_clocks=independent_clocks, trace_to=buf)
     return buf.getvalue().splitlines()[1:]
 
 
@@ -312,12 +313,15 @@ BATCH_SPECS = [
 ]
 
 
+@pytest.mark.parametrize("independent_clocks", [False, True])
 @pytest.mark.parametrize("spec,event_cap", BATCH_SPECS)
-def test_batched_trials_replay_alone(spec, event_cap):
+def test_batched_trials_replay_alone(spec, event_cap, independent_clocks):
+    # both trial sources yield the same rows to estimate and simulate_one
     trials = 3 * _block_rows(spec, event_cap) + 7
     seed = 2 ** 63 + 11
-    for k, row in enumerate(_trace_rows(spec, trials, seed, event_cap)):
-        out = simulate_one(spec, (seed, k), event_cap)
+    rows = _trace_rows(spec, trials, seed, event_cap, independent_clocks)
+    for k, row in enumerate(rows):
+        out = simulate_one(spec, (seed, k), event_cap, independent_clocks)
         t_dsa = "" if out.t_dsa is None else repr(out.t_dsa)
         assert row == f"{k},{int(out.success)},{t_dsa},{out.blocks_a},{out.blocks_h}"
 
