@@ -13,8 +13,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 from pathlib import Path
-from typing import IO, Callable, Sequence
+from typing import Callable, Sequence
 
 from .economics import EconomicModel, expected_profit, required_value
 from .errors import ConvergenceError, DoubleSpendError
@@ -239,26 +240,31 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
         raise DoubleSpendError(
             "--gamma and --beta must be given together for profit estimation"
         )
+    if args.value is not None and args.gamma is None:
+        raise DoubleSpendError("--value needs --gamma and --beta")
     if args.independent_clocks and args.gamma is not None:
         raise DoubleSpendError("--independent-clocks does not estimate profit")
-    trace_handle: IO[str] | None = None
+    value = 0.0 if args.value is None else args.value
+    # the trace goes to a sibling part file, moved onto --trace only when
+    # the run succeeds, so a refused run leaves an existing file as it was
+    part = None if args.trace is None else args.trace.with_name(args.trace.name + ".part")
     try:
-        if args.trace is not None:
-            trace_handle = open(args.trace, "w", encoding="utf-8", newline="")
-        if args.gamma is not None:
-            model = EconomicModel(gamma=args.gamma, beta=args.beta,
-                                  value=args.value)
-            summary = estimate_profit(model, spec, args.trials, args.seed,
-                                      event_cap=args.event_cap,
-                                      trace_to=trace_handle)
-        else:
-            summary = estimate(spec, args.trials, args.seed,
-                               event_cap=args.event_cap,
-                               independent_clocks=args.independent_clocks,
-                               trace_to=trace_handle)
+        with (nullcontext() if part is None
+              else open(part, "w", encoding="utf-8", newline="")) as trace_to:
+            if args.gamma is not None:
+                model = EconomicModel(gamma=args.gamma, beta=args.beta, value=value)
+                summary = estimate_profit(model, spec, args.trials, args.seed,
+                                          event_cap=args.event_cap, trace_to=trace_to)
+            else:
+                summary = estimate(spec, args.trials, args.seed,
+                                   event_cap=args.event_cap,
+                                   independent_clocks=args.independent_clocks,
+                                   trace_to=trace_to)
+        if part is not None:
+            part.replace(args.trace)
     finally:
-        if trace_handle is not None:
-            trace_handle.close()
+        if part is not None:
+            part.unlink(missing_ok=True)
     params = _spec_params(spec)
     params.update(trials=args.trials, seed=args.seed)
     if args.event_cap is not None:
@@ -266,7 +272,7 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     if args.independent_clocks:
         params["independent_clocks"] = True
     if args.gamma is not None:
-        params.update(gamma=args.gamma, beta=args.beta, value=args.value)
+        params.update(gamma=args.gamma, beta=args.beta, value=value)
     result: dict[str, object] = {
         "trials": summary.trials,
         "successes": summary.successes,
@@ -375,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --beta: also estimate mean profit per attempt")
     p.add_argument("--beta", type=float, default=None,
                    help="with --gamma: also estimate mean profit per attempt")
-    p.add_argument("--value", type=float, default=0.0, metavar="C",
+    p.add_argument("--value", type=float, default=None, metavar="C",
                    help="double-spent transaction value (default 0)")
     p.add_argument("--trace", type=Path, default=None,
                    help="write one CSV row per trial to this file")

@@ -1,6 +1,7 @@
 """End-to-end command-line tests driven through run()."""
 
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from doublespend import (AttackSpec, ConvergenceError, attack_success_prob,
-                         expected_success_time, timing)
+                         estimate, expected_success_time, timing)
 from doublespend.cli import run
 from mass_oracles import walk_dp_cut
 
@@ -240,6 +241,14 @@ class TestExitCodes:
                     "--cut-mult", "4", "--trials", "10",
                     "--gamma", "0.422"]) == 2
         assert "together" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--independent-clocks"]])
+    def test_simulate_value_without_gamma(self, capsys, flags):
+        # --value is read only for profit, which needs --gamma and --beta;
+        # without them it used to be ignored
+        assert run(["simulate", "--pa", "0.35", "--nbc", "5", "--cut-mult", "4",
+                    "--trials", "10", "--value", "7", *flags]) == 2
+        assert "--value" in capsys.readouterr().err
 
     def test_market_gamma_nan_price(self, tmp_path, capsys):
         # a nan price used to print gamma nan and exit 0
@@ -518,3 +527,23 @@ def test_simulate_trace_file(tmp_path, capsys):
     lines = trace.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "trial,success,t_dsa,blocks_a,blocks_h"
     assert len(lines) == 26
+    expected = io.StringIO(newline="")
+    estimate(AttackSpec(p_a=0.35, n_bc=2, t_cut=4800.0, lambda_h=1 / 600), 25, 3,
+             trace_to=expected)
+    assert trace.read_bytes() == expected.getvalue().encode("utf-8")
+    assert [path.name for path in tmp_path.iterdir()] == ["trials.csv"]
+
+
+@pytest.mark.parametrize("refused", [
+    ["--cut-mult", "4", "--trials", "0"],
+    ["--cut-mult", "inf"],  # an unbounded cut at pa < 0.5 needs --event-cap
+])
+def test_refused_simulate_keeps_trace_file(tmp_path, capsys, refused):
+    # the trace is written to a part file and moved over --trace only on
+    # success; it used to be emptied before the inputs were checked
+    trace = tmp_path / "t.csv"
+    trace.write_text("keep\n", encoding="utf-8")
+    assert run(["simulate", "--pa", "0.35", "--nbc", "5", *refused,
+                "--trace", str(trace)]) == 2
+    assert trace.read_bytes() == b"keep\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["t.csv"]
