@@ -56,6 +56,6 @@ def test_help_golden_covers_every_subcommand(golden):
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
-    recorded = {_key(argv): _run(argv) for argv in CASES}
-    GOLDEN_FILE.write_text(json.dumps(recorded, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(recorded)} cases to {GOLDEN_FILE}")
+    from golden_record import record
+
+    record(GOLDEN_FILE, {_key(argv): _run(argv) for argv in CASES})

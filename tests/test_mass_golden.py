@@ -73,6 +73,6 @@ def test_golden_file_covers_every_spec(golden):
 
 
 if __name__ == "__main__":
-    recorded = {_key(spec): _digest(*spec) for spec in SPECS}
-    GOLDEN_FILE.write_text(json.dumps(recorded, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(recorded)} specs to {GOLDEN_FILE}")
+    from golden_record import record
+
+    record(GOLDEN_FILE, {_key(spec): _digest(*spec) for spec in SPECS})

@@ -78,6 +78,6 @@ def test_golden_file_covers_every_case(golden):
 
 
 if __name__ == "__main__":
-    recorded = {name: _run(name) for name in CASES}
-    GOLDEN_FILE.write_text(json.dumps(recorded, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(recorded)} cases to {GOLDEN_FILE}")
+    from golden_record import record
+
+    record(GOLDEN_FILE, {name: _run(name) for name in CASES})
