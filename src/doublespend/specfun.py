@@ -94,22 +94,19 @@ def poisson_term(k: float, lam: float) -> float:
 
 def scaled_pow(x: float, k: int) -> tuple[float, int]:
     """x**k as (m, e) with x**k = m * 2**e, for 0 < x <= 1 and an integer
-    k >= 0. One math.pow per chunk of k short enough that each partial
-    power stays above 2^-1000, so the result keeps its relative precision
-    (an ulp or so per chunk) far below the float range. Below 2^-64 the
-    binary exponent of x is split off first (x = f 2^d, 1/2 <= f < 1), so
-    f^k takes chunks of 1000 factors and k d is added exactly, not one
-    math.pow per factor."""
-    e = 0
-    if x < 2.0 ** -64:
-        x, d = math.frexp(x)
-        e = k * d
-    lg = -math.log2(x)
-    chunk = k if lg * k <= 1000.0 else max(1, int(1000.0 / lg))
+    k >= 0. The binary exponent of x is split off first (x = f 2^d,
+    1/2 <= f < 1), so k d is added exactly and f^k takes one math.pow per
+    chunk of at least 1000 factors, each partial power staying above
+    2^-1000: the result keeps its relative precision (an ulp or so per
+    chunk) far below the float range, whatever x."""
+    f, d = math.frexp(x)
+    e = k * d
+    lg = -math.log2(f)
+    chunk = k if lg * k <= 1000.0 else int(1000.0 / lg)
     m = 1.0
     while k > 0:
         c = min(k, chunk)
-        m, de = math.frexp(m * math.pow(x, c))
+        m, de = math.frexp(m * math.pow(f, c))
         e += de
         k -= c
     return m, e
