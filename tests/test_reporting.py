@@ -209,15 +209,18 @@ class TestCaseStudy:
         assert out["runtime_per_attempt"] == pytest.approx(10500.0, abs=60.0)
         assert out["assessment"] == "profitable above required value"
 
-    def test_unbounded_majority_always_profitable(self):
-        out = case_study(CFG, p_a=0.6, n_bc=1, c=math.inf)
+    # case_study takes the INFINITE marker for an unbounded cut as well
+    @pytest.mark.parametrize("c", [math.inf, INFINITE])
+    def test_unbounded_majority_always_profitable(self, c):
+        out = case_study(CFG, p_a=0.6, n_bc=1, c=c)
         assert out["t_cut_seconds"] == math.inf
         assert out["p_as"] == 1.0
         assert out["c_req"] < 0.0
         assert out["assessment"] == "always profitable"
 
-    def test_unbounded_minority_never_profitable(self):
-        out = case_study(CFG, p_a=0.3, n_bc=1, c=math.inf)
+    @pytest.mark.parametrize("c", [math.inf, INFINITE])
+    def test_unbounded_minority_never_profitable(self, c):
+        out = case_study(CFG, p_a=0.3, n_bc=1, c=c)
         assert out["c_req"] == math.inf
         assert out["runtime_per_attempt"] == math.inf
         assert out["assessment"] == "never profitable"
