@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from doublespend.cli import run
+from golden_record import largest_move, numbers
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
 GOLDEN_FILE = GOLDEN_DIR / "cli_outputs.json"
@@ -122,6 +123,16 @@ def test_golden_file_covers_every_subcommand(golden):
     assert commands == {"prob", "pdf", "expect-time", "profit", "creq", "table",
                         "case-study", "compare-premine", "simulate", "market-gamma"}
     assert set(golden) == {_key(argv) for argv in CASES}
+
+
+def test_recorder_reports_the_largest_relative_move():
+    old = {"exit": 0, "stdout": "# n_bc = 5\np_as,0.21804332702412232\n"}
+    new = {"exit": 0, "stdout": "# n_bc = 5\np_as,0.2180433270241223\n"}
+    assert numbers(old) == [0.0, 5.0, 0.21804332702412232]
+    assert largest_move(old, new) == "largest relative move 1.3e-16"
+    assert largest_move(old, {"stdout": "p_as 1e-3"}) == "3 numbers -> 1"
+    # the digits inside a hex digest are no numbers
+    assert largest_move("9e0a51c7", "75f5905f") == "no numbers"
 
 
 if __name__ == "__main__":
