@@ -13,10 +13,11 @@ against the total mass and first moment of the state masses, both from one
 confirmation-race sum (walk._race); with no deadline that sum gives the
 probability and mean directly. sampling_grid walks the state masses once
 for a whole grid of times. The state masses cost O(1) work each at any
-depth: a three-term recurrence carries the overtake family and one ratio
-the confirmation-last family, both seeded from the saddle-point kernel of
-specfun (see _state_mass_iter); p_dsa_at_state gives one state's mass
-from the same closed forms. The paper's closed-form density (a
+depth: a recurrence of positive terms carries the overtake family's step
+ratio and one exact ratio the confirmation-last family, both seeded from
+the saddle-point kernel of specfun, and the masses hold within 3e-13 of
+the exact ones (see _state_mass_iter); p_dsa_at_state gives one state's
+mass from the same closed forms. The paper's closed-form density (a
 hypergeometric block plus an incomplete-gamma block) is kept in the tests
 as an oracle for this series.
 """
@@ -38,13 +39,13 @@ _MIXTURE_CAP = 2_000_000
 _TINY = 1e-300
 # deepest n_bc served by the finite-cut series, a cost limit: the race
 # totals, the states up to lambda_t * t_cut and the pair seeds all grow with
-# n_bc; the slowest case, p_a = 1/2 at c 4, takes about 0.3 s at this depth
-# (2-core x86-64 machine, Python 3.11)
+# n_bc; the slowest case, p_a = 1/2 at c 4, takes about 0.11 s at this
+# depth (2-core x86-64 machine, Python 3.11)
 _MAX_NBC = 20_000
-# a scaled pair or lane that leaves [2^-600, 2^600] is put back into [1/2, 1)
+# a scaled q or lane that leaves [2^-600, 2^600] is put back into [1/2, 1)
 _LANE_FLOOR = 2.0 ** -600
-# odd states between fresh seeds of the overtake family's recurrence pair
-_RESEED = 64
+# odd states between fresh seeds of the overtake family's recurrence
+_RESEED = 256
 # a mass whose binary exponent is below this rounds to 0
 _BELOW_FLOATS = -1080
 
@@ -77,28 +78,47 @@ def _state_mass_iter(spec: AttackSpec):
     (ballot_number(n, m) ways). The weights obey the three-term recurrence
     (creative telescoping; Petkovsek, Wilf and Zeilberger, "A = B", 1996)
 
-      (n+2)(n+N+2)(n+N+3) W(n+2) = 2(n+N+2)(4n^2 + (4N+10)n + 5N+7) W(n+1)
-                                   - 4(n+N+1)(2n+1)(2n+2N+1) W(n),
+      C_n W(n+2) = A_n W(n+1) - 4 B_n W(n),
+      A_n = 2(n+N+2)(4n^2 + (4N+10)n + 5N+7),
+      B_n = (n+N+1)(2n+1)(2n+2N+1),  C_n = (n+2)(n+N+2)(n+N+3).
 
-    so the pair (q(n), q(n+1)) steps in constant work. The recurrence has a
-    double characteristic root at 4, so a ratio error in the pair grows
-    linearly with the steps; every _RESEED odd states the pair is seeded
-    afresh from _ballot_seed, which costs O(n_bc) at most. q decreases in n
-    (W(n+1) < 4 W(n) and p_a p_h <= 1/4), so once a seed lies below the
-    float range the family is dropped for good.
+    W(n+1) < 4 W(n), so the family is carried as q(n) and delta_n, with
+    W(n+1) / W(n) = 4 (1 - delta_n), 0 < delta_n < 1; as
+    4 C_n - A_n + B_n = 15n + 9N + 21, the recurrence reads
+
+      q(n+1)      = q(n) 4 p_a p_h (1 - delta_n),
+      delta_(n+1) = (15n + 9N + 21 + B_n delta_n / (1 - delta_n)) / (4 C_n),
+
+    every term positive, so no step cancels. Every _RESEED = 256 odd states
+    (q, delta) is seeded afresh from _ballot_seed, which costs O(n_bc) at
+    most. With u = 2^-53, a step rounds q at most 4 times (p_a p_h,
+    1 - delta, their product and the product with q) and delta at most 5
+    times (7 where n > 10^5, as B_n and C_n round). An error of delta_n
+    reaches q through 1 - delta_n, and the recurrence carries it on; to
+    first order this adds at most 4.7u per step over the worst interval
+    (n from 0 at N = 20,000, where delta_n falls from 1/2 like 1 / (2n))
+    and 1.3u per step in later ones, plus 54u for each u of the seed's
+    delta error (at most 5u measured). The worst interval thus adds at
+    most 256 * 4u + 1140u + 270u = 2430u = 2.7e-13 relative to q, and the
+    seed's q is within 3e-15, so every mass stays within 3e-13 (checked
+    in tests/test_timing.py). Measured against 40-digit masses to state
+    3000 (n_bc up to 1000), the worst is 4.1e-14. q decreases in n (p_a
+    p_h <= 1/4), so once a seed lies below the float range the family is
+    dropped for good.
 
     The confirmation-last family puts C(i-1, n_bc-1) p_h^n_bc p_a^(i-n_bc)
     on every state; its lane t2 steps by i/(i-n_bc+1) * p_a per state (at
     p_a > 1/2 and deep n_bc it starts below the floats and carries nearly
-    all the mass).
+    all the mass). p_dsa_at_state seeds state 2 n_bc + 1 from the same
+    _first_lane, so the first mass is its float, bit for bit.
 
     Both families are carried as a float times 2^e, e an exact integer,
-    under one rule: when the lane, or the smaller value b of the pair
-    (a, b), leaves [2^-600, 2^600], math.frexp puts it back into [1/2, 1)
-    and e takes up the difference (a is scaled with b). The lane's ratio
-    per step is below 2, and a / b < 1 / (p_a p_h) < 2^542 while the
-    overtake family is in the float range, so nothing overflows or turns
-    subnormal. Powers of two are exact, so the scaling changes no bits:
+    under one rule: when the lane, or q's float a, leaves [2^-600, 2^600],
+    math.frexp puts it back into [1/2, 1) and e takes up the difference.
+    The lane's ratio per step is below 2, and a only falls, by the factor
+    4 p_a p_h (1 - delta_n) > 2^-543 while the family is in the float
+    range, so neither overflows, and a turns subnormal only where q is
+    below 2^-970. Powers of two are exact, so the scaling changes no bits:
     each mass is one ldexp, and a mass below the float range reads 0.
 
     The depth limit is checked at the call, so a caller that makes the
@@ -125,7 +145,9 @@ def p_dsa_at_state(spec: AttackSpec, i: int) -> float:
       state i: q(n) on odd i = 2*n_bc + 1 + 2n only.
 
     The first takes the top 64 bits of the exact binomial and the powers
-    from scaled_pow, the second one pair seed; each is one ldexp. Within
+    from scaled_pow (at i = 2*n_bc + 1 the iterator's own first lane, so
+    both give that state's mass bit for bit), the second one pair seed;
+    each is one ldexp. Within
     about 1e-14 of the exact mass (a mass below the float range reads 0),
     for one exact binomial and at most n_bc seed terms, nothing kept
     between calls.
@@ -136,11 +158,14 @@ def p_dsa_at_state(spec: AttackSpec, i: int) -> float:
     if i <= 2 * n_bc:
         return 0.0
     pa, ph = spec.p_a, spec.p_h
-    ways = math.comb(i - 1, n_bc - 1)
-    shift = max(ways.bit_length() - 64, 0)
-    ma, ea = scaled_pow(pa, i - n_bc)
-    mh, eh = scaled_pow(ph, n_bc)
-    mass = math.ldexp(float(ways >> shift) * ma * mh, shift + ea + eh)
+    if i == 2 * n_bc + 1:
+        mass = math.ldexp(*_first_lane(n_bc, pa, ph))
+    else:
+        ways = math.comb(i - 1, n_bc - 1)
+        shift = max(ways.bit_length() - 64, 0)
+        ma, ea = scaled_pow(pa, i - n_bc)
+        mh, eh = scaled_pow(ph, n_bc)
+        mass = math.ldexp(float(ways >> shift) * ma * mh, shift + ea + eh)
     if i % 2:
         a, _, e = _ballot_seed(n_bc, (i - 2 * n_bc - 1) // 2, pa, ph)
         mass += math.ldexp(a, e)
@@ -148,57 +173,58 @@ def p_dsa_at_state(spec: AttackSpec, i: int) -> float:
 
 
 def _ballot_seed(n_bc: int, n: int, pa: float, ph: float) -> tuple[float, float, int]:
-    """(a, b, e) with q(n) = a * 2^e and q(n+1) = b * 2^e.
+    """(a, delta, e) with q(n) = a * 2^e and W(n+1) / W(n) = 4 (1 - delta).
 
     W(n) = C(2N-1, N-1) C(2n, n) / (n+1) * S(n), where S(n) = sum_m t_m sums
     the m-terms of W(n) (see _state_mass_iter) relative to the m = 0 term;
-    each ratio t_m / t_(m-1) is a quotient of integer products, and
-    the ratios fall in m, so the sum stops once its geometric tail is below
-    2^-60 of it. The stop is tested every 8th term only: the terms past the
-    first stop are each below 2^-60 of their sum, less than half an ulp of
-    it, so adding them leaves the sum's bits as they are. Testing every
-    term gives the same bits (3000 random seeds hashed equal) but took
-    5-17% longer over those seeds, so the stride stays.
+    each ratio t_m / t_(m-1) is a quotient of integer products, and the
+    ratios fall in m. The m-term steps from n to n+1 by the exact factor
+    H_m = (2n+m+1)(2n+m+2) / ((n+1)(n+m+2)), and 4 - H_m = w_m / (n+1) with
+    w_m = (6n+6+m-m^2) / (n+m+2), so
+
+      delta = sum_m t_m w_m / (4 (n+1) S(n)),
+
+    weighting the same rounded t_m without the cancellation of 4 - H_m.
+    |w_m| < 6 + m, so past a term t_m with ratio r < 1 the sum S(n) has a
+    tail below t_m r / (1-r) and the weighted sum one below
+    t_m r ((6+m) / (1-r) + 1 / (1-r)^2); both sums stop once each tail is
+    below 2^-60 of its sum. The stop is tested every 8th term only: the
+    terms past the first stop are each below 2^-60 of their sum, less than
+    half an ulp of it, so adding them leaves the sums' bits as they are.
+    Testing every term gives the same bits (3000 random seeds hashed
+    equal) but took 10-30% longer over those seeds, so the stride stays.
     C(2k, k) = 4^k exp(stirlerr(2k) - 2 stirlerr(k)) / sqrt(pi k) and the
     powers come from scaled_pow, so no large logarithm is rounded.
-    q(n+1) = q(n) p_a p_h sum_m t_m H_m / S(n), H_m =
-    (2n+m+1)(2n+m+2) / ((n+1)(n+m+2)) being the exact step of the m-term
-    from n to n+1; weighting the same rounded t_m keeps the pair's ratio
-    within a few ulps, which the recurrence needs.
     The integer factors are carried as floats. Each product of them is an
-    integer of at most (N+1)^2 (2n+N+2) or (2n+N+2)^2, below 2^53 while
-    N <= 20,000 and n <= 10^7, so it is exact; a quotient of exact floats
-    is correctly rounded (Higham, "Accuracy and Stability of Numerical
-    Algorithms", 2002, sec. 2.1), so each ratio and H_m is the one rounding
-    of the integer quotient, bit for bit. Past that range, which only
+    integer of at most (N+2)^2 (n+N+1), below 2^53 while N <= 20,000 and
+    n <= 10^7, so it is exact; a quotient of exact floats is correctly
+    rounded (Higham, "Accuracy and Stability of Numerical Algorithms",
+    2002, sec. 2.1), so each ratio and w_m is the one rounding of the
+    integer quotient, bit for bit. Past that range, which only
     p_dsa_at_state reaches, a product may round as well.
     """
     k, top = float(n), float(n_bc)
     n1, n2, top1, top2 = k + 1.0, 2.0 * k, top + 1.0, 2.0 * top
+    six = 6.0 * n1
     s0 = t0 = 1.0
-    u = s1 = (n2 + 1.0) * (n2 + 2.0) / (n1 * (k + 2.0))
+    d = six / (k + 2.0)
     m = 0.0
     for j in range(1, n_bc + 1):
         m += 1.0
-        w = n2 + m
         q = n1 + m
-        r0 = (top1 - m) * (m + 1.0) * w / ((top2 - m) * m * q)
+        r0 = (top1 - m) * (m + 1.0) * (n2 + m) / ((top2 - m) * m * q)
         t0 *= r0
-        u_next = t0 * ((w + 1.0) * (w + 2.0) / (n1 * (q + 1.0)))
         s0 += t0
-        s1 += u_next
-        if not j % 8:
-            # the ratios of both sums' terms fall in m, and r1 > r0
-            r1 = u_next / u
-            if r1 < 1.0 and u_next * r1 <= (1.0 - r1) * s1 * 2.0 ** -60 and (
-                    t0 * r0 <= (1.0 - r0) * s0 * 2.0 ** -60):
+        d += t0 * ((six + m - m * m) / (q + 1.0))
+        if not j % 8 and r0 < 1.0:
+            tail = t0 * r0 / (1.0 - r0)
+            if tail <= s0 * 2.0 ** -60 and tail * (6.0 + m + 1.0 / (1.0 - r0)) <= (
+                    abs(d) * 2.0 ** -60):
                 break
-        u = u_next
     ma, ea = scaled_pow(pa, n_bc + n + 1)
     mh, eh = scaled_pow(ph, n_bc + n)
     a = (_central(n_bc) * _central(n) * s0 / (2 * (n + 1))) * ma * mh
-    b = a * (pa * ph) * (s1 / s0)
-    return a, b, ea + eh + 2 * (n_bc + n)
+    return a, d / (4.0 * n1 * s0), ea + eh + 2 * (n_bc + n)
 
 
 def _central(k: int) -> float:
@@ -208,46 +234,50 @@ def _central(k: int) -> float:
     return math.exp(stirlerr(2 * k) - 2.0 * stirlerr(k)) / math.sqrt(math.pi * k)
 
 
+def _first_lane(n_bc: int, pa: float, ph: float) -> tuple[float, int]:
+    # the confirmation-last mass of state 2N + 1 as (t, e), mass = t * 2^e:
+    # C(2N, N-1) p_h^N p_a^(N+1), C(2N, N-1) = 4^N c(N) N/(N+1)
+    ma, ea = scaled_pow(pa, n_bc + 1)
+    mh, eh = scaled_pow(ph, n_bc)
+    t, e = math.frexp(_central(n_bc) * n_bc / (n_bc + 1) * ma * mh)
+    return t, e + ea + eh + 2 * n_bc
+
+
 def _state_masses(spec: AttackSpec):
     n_bc = spec.n_bc
     pa, ph = spec.p_a, spec.p_h
-    r = pa * ph
+    r4 = 4.0 * (pa * ph)
     ldexp, frexp = math.ldexp, math.frexp
     low, high = _LANE_FLOOR, 1.0 / _LANE_FLOOR
-    # C(2N, N-1) p_h^N p_a^(N+1) = t2 * 2^e2, C(2N, N-1) = 4^N c(N) N/(N+1)
-    ma, ea = scaled_pow(pa, n_bc + 1)
-    mh, eh = scaled_pow(ph, n_bc)
-    t2, e2 = frexp(_central(n_bc) * n_bc / (n_bc + 1) * ma * mh)
-    e2 += ea + eh + 2 * n_bc
+    t2, e2 = _first_lane(n_bc, pa, ph)
     ballot = True  # the overtake family is still inside the float range
     odd = True  # state i is odd, so the overtake family has mass on it
-    a = b = 0.0
+    a = delta = 0.0
     # the integer factors are floats: every sum and product in a coefficient
     # but its last product is an integer below 2^53 while n < 3 * 10^7 (a
     # mixture pass stops near n = 10^6), so each coefficient takes the one
     # rounding that converting its exact integer gives
     big_n = float(n_bc)
-    g1, g0 = 4.0 * big_n + 10.0, 5.0 * big_n + 7.0
+    g = 9.0 * big_n + 21.0
     i = 2.0 * big_n + 1.0
     n = 0.0
     while True:
         p_i = ldexp(t2, e2)
         if ballot and odd:
             if n % _RESEED == 0.0:
-                a, b, e = _ballot_seed(n_bc, int(n), pa, ph)
+                a, delta, e = _ballot_seed(n_bc, int(n), pa, ph)
                 ballot = frexp(a)[1] + e >= _BELOW_FLOATS
             p_i += ldexp(a, e)
-            # the recurrence at n for q = W r^n * const, r = p_a p_h: one
-            # rounded r throughout, since r * r rounded apart from r splits
-            # the double root and the drift grows quadratically
+            # q(n+1) = q(n) 4 p_a p_h (1 - delta_n), and delta_(n+1) from
+            # the recurrence, every term positive
+            keep = 1.0 - delta
+            a *= r4 * keep
             nn = n + big_n
-            c = (2.0 * (nn + 2.0) * ((4.0 * n + g1) * n + g0) * b
-                 - 4.0 * (nn + 1.0) * (2.0 * n + 1.0) * (2.0 * nn + 1.0) * (r * a)
-                 ) * r / ((n + 2.0) * (nn + 2.0) * (nn + 3.0))
-            a, b = b, c if c > 0.0 else 0.0
-            if b < low:
-                b, d = frexp(b)
-                a, e = ldexp(a, -d), e + d
+            delta = (15.0 * n + g + (nn + 1.0) * (2.0 * n + 1.0) * (2.0 * nn + 1.0)
+                     * (delta / keep)) / (4.0 * (n + 2.0) * (nn + 2.0) * (nn + 3.0))
+            if a < low:
+                a, d = frexp(a)
+                e += d
             n += 1.0
         odd = not odd
         yield p_i
@@ -291,7 +321,8 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, density: bool,
     second shrinks where x is large and the first cannot. Both remainders
     are clamped at 0, so the results are only as exact as the totals (the
     race sums are within about 3e-13 relative at n_bc 1000 and 4e-12 at
-    20,000) and the masses (about 1e-13). The density's far terms lie
+    20,000) and the masses (within 3e-13, about 4e-14 measured; see
+    _state_mass_iter). The density's far terms lie
     below the rounding of the remaining mass, so its tail uses masses <= 1
     instead: u_j shrinks by x / (j+1) per stage, so once I + 1 > x the tail
     after state I is at most lambda_t * u_I * (I+1) / (I+1-x).

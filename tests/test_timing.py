@@ -3,6 +3,7 @@ import math
 import random
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -28,7 +29,13 @@ from doublespend.timing import (
     sampling_grid,
 )
 from doublespend.walk import INFINITE, AttackSpec, p_dsa, premine_success_prob
-from mass_oracles import exact_mass, full_seed, int_state_masses, walk_dp_cut
+from mass_oracles import (
+    _ballot_coeff,
+    exact_mass,
+    full_seed,
+    int_state_masses,
+    walk_dp_cut,
+)
 from race_oracles import exact_mean_arrivals, exact_p_dsa, rel_error
 
 BCH = dict(p_a=0.35, n_bc=5, lambda_h=1 / 600)
@@ -396,6 +403,33 @@ def test_pair_seed_stops_on_the_bits_of_an_every_term_stop():
         assert timing._ballot_seed(*args) == full_seed(*args), args
 
 
+def test_pair_seed_ratio_against_exact_ratio():
+    # the seed's delta = 1 - W(n+1) / (4 W(n)) weighs the rounded m-terms
+    # by 4 - H_m in its exact integer form; the worst here is 2.7e-15, at
+    # (5000, 4000), where the weights change sign within the sum
+    for n_bc in (1, 2, 3, 12, 60, 500, 5000):
+        for n in (0, 1, 2, 7, 63, 255, 256, 1000, 4000):
+            delta = timing._ballot_seed(n_bc, n, 0.5, 0.5)[1]
+            w0, w1 = _ballot_coeff(n_bc, n), _ballot_coeff(n_bc, n + 1)
+            exact = Fraction(4 * w0 - w1, 4 * w0)
+            assert abs(Fraction(delta) / exact - 1) <= 4e-15, (n_bc, n)
+
+
+def test_first_mass_is_the_one_state_form():
+    # the iterator and p_dsa_at_state seed the confirmation-last lane of
+    # state 2 n_bc + 1 from one form, so its mass is the same float
+    rng = random.Random(20261024)
+    specs = [(p_a, n_bc) for p_a in (1e-9, 0.01, 0.5, 0.99, 0.999999)
+             for n_bc in (1, 2, 1000, 20_000)]
+    for _ in range(200):
+        n_bc = min(20_000, int(math.exp(rng.uniform(0.0, math.log(20_001)))))
+        specs.append((rng.uniform(0.01, 0.99), n_bc))
+    for p_a, n_bc in specs:
+        spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE)
+        first = next(timing._state_mass_iter(spec))
+        assert first == p_dsa_at_state(spec, 2 * n_bc + 1), (p_a, n_bc)
+
+
 def test_state_masses_equal_the_integer_coefficient_oracle():
     # the recurrence's coefficients and the lane ratio are formed from
     # floats, each rounded once as its exact integer is, so every mass is
@@ -425,9 +459,9 @@ def _reseed_states(n_bc, last):
 
 @pytest.mark.parametrize("n_bc", [1, 5, 60, 500, 1000])
 def test_state_masses_against_exact_masses(n_bc):
-    # the worst here is 1.6e-13, at (0.5, 500, state 1895), where the odd
-    # states drift to the end of a reseed interval; reseeding every 256 odd
-    # states would reach 5.8e-13, so the bound shows a coarser reseed
+    # the worst here is 4.1e-14, at (0.2, 500, state 1509); reseeding every
+    # 1024 odd states instead of 256 reaches 1.05e-13 over every state of
+    # this grid, so the bound shows a coarser reseed
     for p_a in (1e-4, 0.05, 0.2, 0.35, 0.45, 0.5, 0.6, 0.9, 0.99):
         spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE)
         masses = list(itertools.islice(timing._state_mass_iter(spec),
@@ -435,15 +469,42 @@ def test_state_masses_against_exact_masses(n_bc):
         for i in _reseed_states(n_bc, 3000):
             exact, mass = exact_mass(p_a, n_bc, i), masses[i - 2 * n_bc - 1]
             if exact > 1e-300:
-                assert abs(mass / exact - 1) <= 3e-13, (p_a, i)
+                assert abs(mass / exact - 1) <= 1e-13, (p_a, i)
             else:  # below the normal floats: reads 0 or a subnormal
                 assert 0.0 <= mass <= 1e-299, (p_a, i)
 
 
+def test_reseed_interval_rounding_bound():
+    # the first-order bound of _state_mass_iter's docstring in units of
+    # u = 2^-53: each step adds 4u to q and delta_n's relative error eta_n
+    # times delta_n / (1 - delta_n); eta grows by delta's own 5 roundings
+    # (7 once B_n and C_n exceed 2^53) and by the recurrence's gain on it.
+    # The seed's delta starts 5u off and its q 3e-15 off; the worst
+    # interval, from n = 0 at n_bc 20,000, adds 2430u
+    worst = 0.0
+    for n_bc in (1, 2, 10, 100, 1000, 20_000):
+        for n0 in (0, 256, 4096, 10 ** 6):
+            delta = timing._ballot_seed(n_bc, n0, 0.5, 0.5)[1]
+            eta, total = 5.0 / delta, 0.0
+            for n in range(n0, n0 + timing._RESEED):
+                total += 4.0 + delta * eta / (1.0 - delta)
+                b = (n + n_bc + 1) * (2 * n + 1) * (2 * n + 2 * n_bc + 1)
+                c4 = 4 * (n + 2) * (n + n_bc + 2) * (n + n_bc + 3)
+                y = b * delta / (1.0 - delta) / c4
+                step = (15 * n + 9 * n_bc + 21) / c4 + y
+                big = float(b >= 2 ** 53)
+                eta = 2.0 + big + y / step * (3.0 + big + eta / (1.0 - delta))
+                delta = step
+            worst = max(worst, total)
+    assert 2400.0 < worst < 2440.0
+    assert worst * 2.0 ** -53 + 3e-15 < 3e-13
+
+
 @pytest.mark.parametrize("p_a, n_bc", [(0.5, 5), (0.45, 60), (0.5, 200)])
 def test_state_masses_far_out(p_a, n_bc):
-    # the recurrence alone drifts 1e-11 to 1e-10 by n = 20,000 (its double
-    # root); the fresh seeds hold it near 1e-14
+    # with no fresh seed the delta recurrence drifts up to 6.3e-14 by
+    # n = 20,000 here (the pair recurrence it replaced, 1e-11 to 1e-10);
+    # the fresh seeds hold it near 2e-15
     spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE)
     masses = list(itertools.islice(timing._state_mass_iter(spec), 40_002))
     for n in (3000, 10_000, 20_000):

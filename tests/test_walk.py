@@ -80,6 +80,28 @@ def test_ballot_coeff_three_term_recurrence():
             assert w[n + 1] < 4 * w[n], (N, n)
 
 
+def test_ballot_coeff_ratio_recurrence():
+    # timing steps the overtake family by delta_n, W(n+1) = 4 (1 - delta_n)
+    # W(n): the three-term recurrence with B_n delta_n / (1 - delta_n) split
+    # off, whose other coefficients sum to 15n + 9N + 21, so no term is
+    # negative
+    for N in range(1, 61):
+        for n in range(301):
+            a = 2 * (n + N + 2) * (4 * n * n + (4 * N + 10) * n + 5 * N + 7)
+            b = (n + N + 1) * (2 * n + 1) * (2 * n + 2 * N + 1)
+            c = (n + 2) * (n + N + 2) * (n + N + 3)
+            assert 4 * c - a + b == 15 * n + 9 * N + 21, (N, n)
+    for N in (1, 2, 7, 60):
+        w = [_ballot_coeff(N, n) for n in range(302)]
+        delta = [Fraction(4 * w[n] - w[n + 1], 4 * w[n]) for n in range(301)]
+        for n in range(300):
+            b = (n + N + 1) * (2 * n + 1) * (2 * n + 2 * N + 1)
+            c = (n + 2) * (n + N + 2) * (n + N + 3)
+            assert delta[n + 1] == (15 * n + 9 * N + 21 + b * delta[n] / (1 - delta[n])
+                                    ) / (4 * c), (N, n)
+            assert 0 < delta[n] < 1, (N, n)
+
+
 def test_ballot_number_negative():
     assert ballot_number(-1, 2) == 0
     assert ballot_number(2, -1) == 0
