@@ -364,8 +364,8 @@ class TestExitCodes:
         # 20,000 states: not refused, it returns the values of the full walk
         monkeypatch.setattr(timing, "_MIXTURE_CAP", 20_000)
         spec = AttackSpec(0.5, 3, 19_059 / 2)
-        assert attack_success_prob(spec) == 0.9907886561004166
-        assert expected_success_time(spec) == 89.2948104071156
+        assert attack_success_prob(spec) == 0.9907886561004163
+        assert expected_success_time(spec) == 89.29481040711552
         with pytest.raises(ConvergenceError) as exc:
             attack_success_prob(AttackSpec(0.5, 3, 19_060 / 2))
         assert exc.value.partial is not None
