@@ -16,8 +16,8 @@
 - full_seed: timing._ballot_seed, which returns q(n) and the gap delta of
   W(n+1) / W(n) below 4, with its stop rule tested at every term and its
   ratios and weights formed from Python integers (each one correctly
-  rounded integer division), the reference for the seed that tests the rule every
-  8th term only and carries its integer factors as floats.
+  rounded integer division), the reference for the seed that tests the
+  rule every 8th term only and carries its integer factors as floats.
 - int_state_masses: timing._state_masses with the delta recurrence's
   coefficients and the lane ratio formed from Python integers, each
   rounded once when it meets a float, and seeded by full_seed; the
