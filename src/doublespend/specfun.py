@@ -3,8 +3,9 @@ binomial and Poisson terms, the Erlang density and the generalized
 hypergeometric series pFq.
 
 The Erlang-mixture series of `timing` runs on regularized_gamma_p and
-poisson_term, and its state masses are seeded from stirlerr and scaled_pow;
-the Erlang density and the pFq series are the building blocks of the
+poisson_term, and its state masses are seeded from stirlerr and scaled_pow,
+as is the confirmation-race sum of `walk` (the central binomial term
+C(2k, k) / 4^k from stirlerr); the Erlang density and the pFq series are the building blocks of the
 paper's closed-form density, which the tests keep as an oracle. Real
 arguments only. Stability where needed (Stirling's error and the deviance
 term instead of differences of large logarithms, scaled accumulation for
@@ -60,6 +61,13 @@ def stirlerr(n: float) -> float:
     if n > 35.0:
         return (_S0 - (_S1 - (_S2 - _S3 / nn) / nn) / nn) / n
     return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / nn) / nn) / nn) / nn) / n
+
+
+def _central(k: int) -> float:
+    # C(2k, k) / 4^k
+    if k == 0:
+        return 1.0
+    return math.exp(stirlerr(2 * k) - 2.0 * stirlerr(k)) / math.sqrt(math.pi * k)
 
 
 def bd0(x: float, m: float) -> float:

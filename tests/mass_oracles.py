@@ -31,12 +31,11 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from doublespend.specfun import scaled_pow
+from doublespend.specfun import _central, scaled_pow
 from doublespend.timing import (
     _BELOW_FLOATS,
     _LANE_FLOOR,
     _RESEED,
-    _central,
     _first_lane,
 )
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import math
 import random
@@ -7,11 +9,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
 from doublespend import timing
+from doublespend.cli import run
 from doublespend.errors import DomainError, SingularityError, \
     UndefinedExpectationError
 from doublespend.specfun import (
@@ -36,7 +39,7 @@ from mass_oracles import (
     int_state_masses,
     walk_dp_cut,
 )
-from race_oracles import exact_mean_arrivals, exact_p_dsa, rel_error
+from race_oracles import exact_mean_arrivals, exact_p_dsa, mp_race, rel_error
 
 BCH = dict(p_a=0.35, n_bc=5, lambda_h=1 / 600)
 
@@ -257,32 +260,67 @@ def test_expected_success_time_singularity_at_half():
 ])
 def test_unbounded_mean_matches_exact_closed_form(p_a, n_bc):
     # the generating-function form with its Z_j in exact rationals; in floats
-    # each Z_j subtracts, and the mean read -0.476 at (0.35, 400)
+    # each Z_j subtracts, and the mean read -0.476 at (0.35, 400). Exact
+    # p_h = 1 - p_a here, the float 1 - p_a in the package; the conventions
+    # move the mean by under 1e-16 on the specs probed (p_dsa by up to 5e-13
+    # relative at (0.45, 5000)), and the bound stays at 1e-12
     spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE, lambda_h=1 / 600)
     arrivals = expected_success_time_inf(spec) * spec.lambda_t
     assert rel_error(arrivals, exact_mean_arrivals(p_a, n_bc)) <= 1e-12
 
 
-@given(p_a=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
-       n_bc=st.integers(1, 1000))
-@settings(max_examples=60, deadline=None)
+_SHARES = st.one_of(
+    st.floats(-300.0, -1.0).map(lambda u: 10.0 ** u),  # log-uniform
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.builds(lambda k, side: 0.5 + side * 10.0 ** -k,
+              st.integers(1, 16), st.sampled_from((-1.0, 1.0))),
+    st.just(0.5),
+)
+
+
+@given(p_a=_SHARES,
+       n_bc=st.floats(0.0, 6.0).map(lambda u: round(10.0 ** u)))
+@example(p_a=0.49999, n_bc=10 ** 6)  # the longest race sums, a few
+@example(p_a=0.50001, n_bc=10 ** 6)  # thousand terms each
+@settings(max_examples=100, deadline=None)
 def test_unbounded_race_bounds(p_a, n_bc):
+    # p_a from 1e-300 to 1 - 1e-16 and within 10^-k of 1/2, n_bc up to 10^6:
+    # every unbounded value returns fast and in range, or raises typed
     spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE)
+    start = time.perf_counter()
     p = p_dsa(spec)
+    assert time.perf_counter() - start < 0.05
     assert 0.0 <= p <= 1.0
     # premine needs a lead of n_bc + 1 from the start, a subset of the
     # race's successes; the slack is the 1e-12 accuracy both are computed to
     assert p >= premine_success_prob(spec) * (1.0 - 1e-12)
-    # lambda_t * E_TAS >= 2 n_bc + 1: no success before that many arrivals
-    assert expected_success_time_inf(spec) >= (2 * n_bc + 1) / spec.lambda_t
+    start = time.perf_counter()
+    if p_a == 0.5:
+        with pytest.raises(SingularityError):
+            expected_success_time_inf(spec)
+    else:
+        # lambda_t * E_TAS >= 2 n_bc + 1: no success before that many arrivals
+        e_tas = expected_success_time_inf(spec)
+        assert math.isfinite(e_tas) and e_tas >= (2 * n_bc + 1) / spec.lambda_t
+    assert time.perf_counter() - start < 0.05
+    for command in ("prob", "expect-time"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run([command, "--pa", repr(p_a), "--nbc", str(n_bc),
+                        "--cut-mult", "inf", "--format", "json"])
+        assert code in (0, 2, 3), (command, code)
+        assert "Traceback" not in err.getvalue()
 
 
-def test_unbounded_mean_where_p_dsa_underflows():
-    spec = AttackSpec(p_a=0.05, n_bc=500, t_cut=INFINITE)
+@pytest.mark.parametrize("p_a,n_bc", [(0.05, 500), (1e-310, 1), (5e-324, 1)])
+def test_unbounded_mean_where_p_dsa_underflows(p_a, n_bc):
+    # the last two have a subnormal p_a/p_h: carried as a race term, it gave
+    # a mean of 4.0 against 3 + 1e-323 at (5e-324, 1)
+    spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE)
     assert p_dsa(spec) == 0.0
     e_tas = expected_success_time_inf(spec)
-    # finite and exact (see above) although the mean divides by p_dsa
-    assert math.isfinite(e_tas)
+    # within the race-sum bound although the mean divides by p_dsa
+    assert math.isclose(e_tas * spec.lambda_t, mp_race(p_a, n_bc)[1], rel_tol=3e-14)
     assert expected_success_time(spec) == e_tas
 
 

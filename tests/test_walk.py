@@ -18,7 +18,7 @@ from doublespend.walk import (
     premine_success_prob,
 )
 from mass_oracles import _ballot_coeff
-from race_oracles import exact_p_dsa, full_race, rel_error
+from race_oracles import exact_p_dsa, full_race, mp_race, rel_error
 
 
 def lattice_path_count(n, m):
@@ -267,14 +267,19 @@ def test_p_dsa_monotone_in_p_a(n_bc, idx):
 ])
 def test_p_dsa_matches_exact_closed_form(p_a, n_bc):
     # the paper's 1 - sum form in exact rationals; in floats it cancels at
-    # depth (2.3e210 times too large at (0.1, 500))
+    # depth (2.3e210 times too large at (0.1, 500)). The oracle takes the
+    # exact p_h = 1 - p_a, the package the float 1 - p_a: the two conventions
+    # differ by 1e-13 relative at (0.45, 1000) and 5e-13 at (0.45, 5000), so
+    # the bound stays at 1e-12 (see test_race_against_negative_binomial_sum)
     spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE)
     assert rel_error(p_dsa(spec), exact_p_dsa(p_a, n_bc)) <= 1e-12
 
 
 def _race_grid():
     # corners: tiny p_a, p_a within 1e-4 of 1/2 on both sides, p_a > 1/2,
-    # and every n_bc up to 30; then seeded draws out to n_bc 5000
+    # and every n_bc up to 30; then seeded draws out to n_bc 5000; then the
+    # ends of the float range: subnormal p_a (a subnormal rho), 1e-300
+    # (terms that underflow to 0) and p_h = 1e-12
     shares = [1e-9, 1e-6, 1e-3, 0.05, 0.1, 0.2, 0.3, 0.35, 0.4, 0.45, 0.49,
               0.4999, 0.49999, 0.5, 0.50001, 0.5001, 0.51, 0.6, 0.75, 0.9,
               0.99, 0.999999]
@@ -287,17 +292,33 @@ def _race_grid():
         n_bc = round(10.0 ** rng.uniform(0.0, math.log10(5000.0)))
         if 0.0 < p_a < 1.0:
             specs.append((p_a, n_bc))
-    return specs
+    ends = [5e-324, 1e-310, 1e-300, 1.0 - 1e-12]
+    return specs + [(p_a, n_bc) for p_a in ends for n_bc in depths]
 
 
 def test_race_stop_rule_changes_no_bit():
-    # the sums stop once no later term can change them; the untruncated
-    # sums must give the same two floats to the last bit
+    # the binomial-tail sums stop once no later term can change them; the
+    # sums over all n_bc terms must give the same two floats to the last bit
     specs = _race_grid()
     assert len(specs) >= 2000
     for p_a, n_bc in specs:
         spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE)
         assert walk._race(spec) == full_race(spec), (p_a, n_bc)
+
+
+@pytest.mark.parametrize("p_a,n_bc", [
+    (0.1, 5), (0.1, 300), (0.45, 1000), (0.45, 5000), (0.49, 20000),
+    (0.49999, 3000), (0.49999, 20000), (0.50001, 3000), (0.50001, 20000),
+    (0.9, 5000),
+])
+def test_race_against_negative_binomial_sum(p_a, n_bc):
+    # the race sum itself at 40 digits under the float p_h of AttackSpec, so
+    # past n_bc 1000, where the Fraction oracles (exact p_h) take too long
+    spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE)
+    got_p, got_mean = walk._race(spec)
+    want_p, want_mean = mp_race(p_a, n_bc)
+    assert abs(got_p - want_p) <= 2e-14 * want_p
+    assert abs(got_mean - want_mean) <= 3e-14 * want_mean
 
 
 def test_p_dsa_underflows_to_zero():
