@@ -5,11 +5,12 @@ hypergeometric series pFq.
 The Erlang-mixture series of `timing` runs on regularized_gamma_p and
 poisson_term, and its state masses are seeded from stirlerr and scaled_pow,
 as is the confirmation-race sum of `walk` (the central binomial term
-C(2k, k) / 4^k from stirlerr); the Erlang density and the pFq series are the building blocks of the
-paper's closed-form density, which the tests keep as an oracle. Real
-arguments only. Stability where needed (Stirling's error and the deviance
-term instead of differences of large logarithms, scaled accumulation for
-series whose terms overflow long before their weighted sum does).
+C(2k, k) / 4^k from stirlerr); the Erlang density and the pFq series are
+the building blocks of the paper's closed-form density, which the tests
+keep as an oracle. Real arguments only. Stability where needed (Stirling's
+error and the deviance term instead of differences of large logarithms,
+scaled accumulation for series whose terms overflow long before their
+weighted sum does).
 """
 from __future__ import annotations
 

@@ -13,13 +13,14 @@ against the total mass and first moment of the state masses, both from one
 confirmation-race sum (walk._race, within about 1e-14 relative at n_bc
 20,000); with no deadline that sum gives the probability and mean
 directly. sampling_grid walks the state masses once for a whole grid of
-times. The state masses cost O(1) work each at any depth: a recurrence of positive terms carries the overtake family's step
-ratio and one exact ratio the confirmation-last family, both seeded from
-the saddle-point kernel of specfun, and the masses hold within 3e-13 of
-the exact ones (see _state_mass_iter); p_dsa_at_state gives one state's
-mass from the same closed forms. The paper's closed-form density (a
-hypergeometric block plus an incomplete-gamma block) is kept in the tests
-as an oracle for this series.
+times. The state masses cost O(1) work each at any depth: a recurrence
+of positive terms carries the overtake family's step ratio and one exact
+ratio the confirmation-last family, both seeded from the saddle-point
+kernel of specfun, and the masses hold within 3e-13 of the exact ones
+(see _state_mass_iter); p_dsa_at_state gives one state's mass from the
+same closed forms. The paper's closed-form density (a hypergeometric block
+plus an incomplete-gamma block) is kept in the tests as an oracle for this
+series.
 """
 from __future__ import annotations
 
@@ -315,10 +316,11 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, density: bool,
     are clamped at 0, so the results are only as exact as the totals (the
     race sums are within 4.6e-15 relative of a 40-digit race sum for p_dsa
     and 1.3e-14 for the mean, measured up to n_bc 20,000) and the masses
-    (within 3e-13, about 4e-14 measured; see _state_mass_iter). The density's far terms lie
-    below the rounding of the remaining mass, so its tail uses masses <= 1
-    instead: u_j shrinks by x / (j+1) per stage, so once I + 1 > x the tail
-    after state I is at most lambda_t * u_I * (I+1) / (I+1-x).
+    (within 3e-13, about 4e-14 measured; see _state_mass_iter). The
+    density's far terms lie below the rounding of the remaining mass, so
+    its tail uses masses <= 1 instead: u_j shrinks by x / (j+1) per stage,
+    so once I + 1 > x the tail after state I is at most
+    lambda_t * u_I * (I+1) / (I+1-x).
 
     p_as is the sum at the first checkpoint that certifies it, whether or
     not the pass goes on to certify the second value. e_tas divides by the

@@ -292,7 +292,7 @@ def test_unbounded_race_bounds(p_a, n_bc):
     assert time.perf_counter() - start < 0.05
     assert 0.0 <= p <= 1.0
     # premine needs a lead of n_bc + 1 from the start, a subset of the
-    # race's successes; the slack is the 1e-12 accuracy both are computed to
+    # race's successes; the slack covers the rounding of both
     assert p >= premine_success_prob(spec) * (1.0 - 1e-12)
     start = time.perf_counter()
     if p_a == 0.5:
