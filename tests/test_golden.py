@@ -41,6 +41,13 @@ NEVER = ("--pa", "0.35", "--nbc", "5", "--cut-time", "1e-30")
 # points where the series certifies p_as at an earlier state than E_TAS
 LATE_TIME = (("--pa", "0.45", "--nbc", "4", "--cut-mult", "4"),
              ("--pa", "0.35", "--nbc", "7", "--cut-mult", "8"))
+# passes that start with whole 64-state blocks far below lambda_t * t_cut,
+# where every Erlang CDF of the block rounds to 1
+HEAD = (("prob", "--pa", "0.45", "--nbc", "200", "--cut-mult", "4", "--lambda-h", "1"),
+        ("expect-time", "--pa", "0.35", "--nbc", "5", "--cut-mult", "1000"),
+        ("table", "--nbc", "30,100", "--pa", "0.35,0.45", "--cut-mult", "8"),
+        ("case-study", "--config", "bch.conf", "--pa", "0.3", "--nbc", "12",
+         "--cut-mult", "40"))
 
 
 def _cases() -> list[tuple[str, ...]]:
@@ -77,6 +84,7 @@ def _cases() -> list[tuple[str, ...]]:
         for point in LATE_TIME:
             cases.append(("expect-time", *point, "--lambda-h", "1", *out))
             cases.append(("table", *point, *out))
+        cases += [(*argv, *out) for argv in HEAD]
     cases += [
         ("expect-time", "--pa", "0.5", "--nbc", "3", "--cut-mult", "inf"),
         ("profit", "--pa", "0.5", "--nbc", "3", "--cut-mult", "inf", *ECON),
