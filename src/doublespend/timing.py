@@ -245,8 +245,8 @@ def _state_masses(spec: AttackSpec):
     low, high = _LANE_FLOOR, 1.0 / _LANE_FLOOR
     t2, e2 = _first_lane(n_bc, pa, ph)
     ballot = True  # the overtake family is still inside the float range
-    odd = True  # state i is odd, so the overtake family has mass on it
     a = delta = 0.0
+    reseed = 0  # odd states left before the next fresh seed
     # the integer factors are floats: every sum and product in a coefficient
     # but its last product is an integer below 2^53 while n < 3 * 10^7 (a
     # mixture pass stops near n = 10^6), so each coefficient takes the one
@@ -255,12 +255,14 @@ def _state_masses(spec: AttackSpec):
     g = 9.0 * big_n + 21.0
     i = 2.0 * big_n + 1.0
     n = 0.0
-    while True:
+    while True:  # an odd state i, which alone carries q(n), then an even one
         p_i = ldexp(t2, e2)
-        if ballot and odd:
-            if n % _RESEED == 0.0:
+        if ballot:
+            if not reseed:
+                reseed = _RESEED
                 a, delta, e = _ballot_seed(n_bc, int(n), pa, ph)
                 ballot = frexp(a)[1] + e >= _BELOW_FLOATS
+            reseed -= 1
             p_i += ldexp(a, e)
             # q(n+1) = q(n) 4 p_a p_h (1 - delta_n), and delta_(n+1) from
             # the recurrence, every term positive
@@ -273,8 +275,13 @@ def _state_masses(spec: AttackSpec):
                 a, d = frexp(a)
                 e += d
             n += 1.0
-        odd = not odd
         yield p_i
+        t2 *= i / (i - big_n + 1.0) * pa
+        if not low <= t2 <= high:
+            t2, d = frexp(t2)
+            e2 += d
+        i += 1.0
+        yield ldexp(t2, e2)
         t2 *= i / (i - big_n + 1.0) * pa
         if not low <= t2 <= high:
             t2, d = frexp(t2)
@@ -305,6 +312,26 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, density: bool,
     incomplete-gamma evaluator and u_i from specfun.poisson_term (Loader's
     saddle-point form, free of large logarithms), to cancel drift;
     erlang_pdf(i) = lambda_t * u_(i-1).
+
+    Head blocks (probability and mean passes only). Let Q = 1 - P. A stage
+    k with Q(k, x) <= 2^-60 is tried at floor(x - 10 sqrt(x)) and certified
+    by one poisson_term, as Q(k, x) = sum_(j<k) u_j <= u_(k-1) /
+    (1 - (k-1)/x) for k - 1 < x (u_(j-1) = u_j j / x). It is tried only
+    where whole 64-state blocks lie below it (k >= 2 n_bc + 65), so a pass
+    without such a head pays nothing. In those blocks the per-state loop
+    finds cdf = cdf_next = 1.0 at every state i: each reset is 1 - Q(i+1,
+    x) (the stage lies below x - 1, where the continued fraction serves)
+    and each u_i is at most Q(i+1, x), both at most 2^-60, so both
+    differences round to 1.0, as anything below 2^-54, half the spacing of
+    the floats just under 1, does; the factor 64 between the margins
+    covers the kernels' rounding (about 1e-13 relative at worst). Every
+    product by cdf is then exact, so a head block adds p_i, i * p_i and
+    p_i * (i / lambda_t) to the same sums in the same order without a
+    kernel call, and its end runs the certification and cap tests with
+    cdf_next = 1.0. The last block's end computes cdf and u as a checkpoint
+    does, and the per-state loop goes on from there: every result is the
+    per-state loop's, bit for bit.
+
     Truncation is certified against the closed-form totals: the CDF
     decreases in the stage count i at fixed t, so the remaining p_as mass
     after state I is at most P(I+1, x) * (total_mass - accumulated p-mass).
@@ -356,16 +383,34 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, density: bool,
         k = i0 + _MIXTURE_CAP + 63
         if regularized_gamma_p(float(k), x) > 2.0 * tol * total_mass * math.sqrt(2 * k):
             raise _cap_error(None)
-    cdf = regularized_gamma_p(float(i0), x)
-    if cdf <= 0.0 and (x == 0.0 or not density):
-        return 0.0, 0.0  # not even the earliest state fits before t_cut
-    u = poisson_term(i0, x)
-    if density:
-        w = poisson_term(i0 - 1, x)  # u_(i-1) at state i
     acc_p = acc_t = acc_d = 0.0
     p_as = None
     mass_seen = moment_seen = 0.0
     i = float(i0)  # exact, and float-only arithmetic is cheaper
+    head_end = i0 if density else _head_end(i0, x)
+    while i < head_end:  # a head block: cdf = cdf_next = 1.0 at every state
+        for p_i in itertools.islice(states, 64):
+            mass_seen += p_i
+            moment_seen += i * p_i
+            acc_t += p_i * (i / lam_t)
+            i += 1.0
+        acc_p = mass_seen
+        bound = max(total_mass - mass_seen, 0.0)
+        if bound <= tol * max(acc_p, _TINY):
+            if p_as is None:
+                p_as = acc_p
+            tol_t = tol * max(acc_t, _TINY)
+            if t_cut * bound <= tol_t or max(
+                    total_moment - moment_seen, 0.0) / lam_t <= tol_t:
+                return p_as, acc_t / acc_p if acc_p > 0.0 else 0.0
+        if i - i0 >= _MIXTURE_CAP:
+            raise _cap_error(acc_p)
+    cdf = regularized_gamma_p(i, x)
+    if cdf <= 0.0 and (x == 0.0 or not density):
+        return 0.0, 0.0  # not even the earliest state fits before t_cut
+    u = poisson_term(i, x)
+    if density:
+        w = poisson_term(i0 - 1, x)  # u_(i-1) at state i
     left = 64  # states to the next fixed checkpoint
     for p_i in states:
         cdf_next = cdf - u
@@ -404,6 +449,20 @@ def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, density: bool,
         cdf = cdf_next
         i += 1.0
     raise ConvergenceError("Erlang-mixture series terminated unexpectedly", acc_p)
+
+
+def _head_end(i0: int, x: float) -> int:
+    """The first state past a pass's head blocks: i0 + 64 m for the most
+    whole 64-state blocks from i0 whose stages k, up to the last block's
+    end, all have Q(k, x) <= 2^-60; i0 where no whole block qualifies."""
+    # the cap stops a pass before any later block, and keeps k exact
+    k = min(math.floor(x - 10.0 * math.sqrt(x)), i0 + _MIXTURE_CAP)
+    if k < i0 + 64:
+        return i0
+    # Q(k, x) <= u_(k-1) / (1 - (k-1)/x), see _mixture_moments
+    if poisson_term(k - 1.0, x) * x > 2.0 ** -60 * (x - (k - 1.0)):
+        return i0
+    return i0 + 64 * ((k - i0) // 64)
 
 
 def _cap_error(partial: float | None) -> ConvergenceError:

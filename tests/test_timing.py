@@ -15,8 +15,8 @@ from scipy import integrate
 
 from doublespend import timing
 from doublespend.cli import run
-from doublespend.errors import DomainError, SingularityError, \
-    UndefinedExpectationError
+from doublespend.errors import DomainError, DoubleSpendError, \
+    SingularityError, UndefinedExpectationError
 from doublespend.specfun import (
     HypergeomParams,
     erlang_pdf,
@@ -337,6 +337,50 @@ def test_finite_cut_past_the_float_binomials(p_a, n_bc, c):
                         arrivals, rel_tol=1e-12)
 
 
+@st.composite
+def _finite_cuts(draw):
+    """(p_a, n_bc, c) over the finite-cut domain. Within 2e-3 of 1/2 the
+    masses fall slowly and a pass walks to about lambda_t * t_cut states
+    (up to the 2M-state cap, 1-3 s), so there c keeps lambda_t * t_cut =
+    c n_bc / p_h at most 2e4."""
+    p_a = draw(_SHARES)
+    n_bc = draw(st.one_of(
+        st.floats(0.0, math.log10(20_000)).map(lambda u: round(10.0 ** u)),
+        st.integers(timing._MAX_NBC + 1, timing._MAX_NBC + 3)))
+    c = 10.0 ** draw(st.floats(-1.0, 6.0))
+    if abs(p_a - 0.5) < 2e-3:
+        c = min(c, 2e4 * (1.0 - p_a) / n_bc)
+    return p_a, n_bc, c
+
+
+@given(point=_finite_cuts(), lambda_h=st.floats(-4.0, 2.0).map(lambda u: 10.0 ** u))
+@example(point=(0.5, 20_000, 4.0), lambda_h=1.0)  # the slowest pass served
+@settings(max_examples=100, deadline=None)
+def test_finite_cut_bounds(point, lambda_h):
+    # every finite-cut value returns in range or raises typed, from p_a
+    # 1e-300 to 1 - 1e-16, n_bc up to the depth limit and just past it, c
+    # from 0.1 to 1e6 and lambda_h over six decades
+    p_a, n_bc, c = point
+    spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=c * n_bc / lambda_h,
+                      lambda_h=lambda_h)
+    try:
+        p_as = attack_success_prob(spec)
+        # below the normal floats a mass keeps no relative precision
+        assert 0.0 <= p_as <= p_dsa(replace(spec, t_cut=INFINITE)) * (
+            1.0 + 1e-12) + 2.0 ** -1022
+        if p_as > 0.0:
+            assert 0.0 < expected_success_time(spec) < spec.t_cut
+    except DoubleSpendError:
+        pass
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(["expect-time", "--pa", repr(p_a), "--nbc", str(n_bc),
+                    "--cut-mult", repr(c), "--lambda-h", repr(lambda_h),
+                    "--format", "json"])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
 def test_depth_limit():
     # a limit on cost, not on the float range: the deepest spec still starts,
     # and the unbounded quantities have no limit at all
@@ -477,10 +521,14 @@ def test_state_masses_equal_the_integer_coefficient_oracle():
     for k in range(46):
         n_bc = min(20_000, int(math.exp(rng.uniform(0.0, math.log(20_001)))))
         specs.append((0.5 if k % 8 == 0 else rng.uniform(0.01, 0.99), n_bc))
-    for p_a, n_bc in specs:
+    # and longer streams: at (1e-4, 1) the overtake family leaves the float
+    # range at the n = 256 reseed
+    specs += [(0.5, 5, 20_000), (0.45, 500, 20_000), (1e-4, 1, 20_000)]
+    for p_a, n_bc, *count in specs:
         spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=INFINITE)
-        masses = itertools.islice(timing._state_mass_iter(spec), 3000)
-        oracle = itertools.islice(int_state_masses(spec), 3000)
+        count = count[0] if count else 3000
+        masses = itertools.islice(timing._state_mass_iter(spec), count)
+        oracle = itertools.islice(int_state_masses(spec), count)
         assert list(masses) == list(oracle), (p_a, n_bc)
 
 
@@ -671,6 +719,53 @@ def test_sampling_grid_validation(bad, monkeypatch):
     with pytest.raises(DomainError, match="times must be finite and nonnegative"):
         sampling_grid(spec, [100.0, bad])
     assert walks == []  # every time is checked before any pass
+
+
+def test_head_blocks_make_no_kernel_call(monkeypatch):
+    # at (0.45, 500, c 4) the first 31 blocks of 64 states lie far below
+    # lambda_t * t_cut, and one poisson_term certifies them: the per-state
+    # loop made 47 calls to each kernel there
+    resets = _call_counter(monkeypatch, "regularized_gamma_p")
+    terms = _call_counter(monkeypatch, "poisson_term")
+    attack_success_prob(AttackSpec(p_a=0.45, n_bc=500, t_cut=2000.0))
+    assert resets[0][0] == 1001.0 + 31 * 64
+    assert (len(resets), len(terms)) == (16, 17)
+    # a pass with no whole head block makes the calls it made before
+    resets.clear()
+    terms.clear()
+    spec = AttackSpec(t_cut=12000.0, **BCH)
+    attack_success_prob(spec)
+    x = spec.lambda_t * spec.t_cut
+    assert resets == terms == [(11.0, x), (75.0, x)]
+
+
+@pytest.mark.parametrize("p_a, n_bc, c, tol", [
+    (0.45, 500, 4.0, 1e-12), (0.35, 5, 1000.0, 1e-12), (0.3, 12, 40.0, 1e-15),
+    (0.45, 200, 4.0, 1e-9), (0.6, 30, 8.0, 1e-12), (0.499, 40, 60.0, 1e-12),
+    (0.5, 3, 5000.0, 1e-12), (0.9, 100, 10.0, 1e-12), (1e-3, 2, 1e6, 1e-12)])
+def test_head_blocks_change_no_bit(p_a, n_bc, c, tol, monkeypatch):
+    # with no head block the pass is the per-state loop throughout
+    spec = AttackSpec(p_a=p_a, n_bc=n_bc, t_cut=c * n_bc)
+    x = spec.lambda_t * spec.t_cut
+    assert timing._head_end(2 * n_bc + 1, x) > 2 * n_bc + 1
+    fast = timing._success_moments(spec, tol)
+    monkeypatch.setattr(timing, "_head_end", lambda i0, x: i0)
+    assert timing._success_moments(spec, tol) == fast
+
+
+@pytest.mark.parametrize("i0, x", [
+    (3, 150.0), (3, 400.0), (1001, 3636.4), (61, 369.3), (11, 7692.3),
+    (40_001, 2e5), (3, 1e12), (3, 1e300)])
+def test_head_end_is_certified(i0, x):
+    end = timing._head_end(i0, x)
+    assert (end - i0) % 64 == 0 and end - i0 <= timing._MIXTURE_CAP
+    if end > i0:
+        # every reset inside the head reads 1, and the 2^-60 holds
+        assert regularized_gamma_p(float(end), x) == 1.0
+        with mpmath.workdps(30):
+            assert mpmath.gammainc(end, x, regularized=True) <= 2.0 ** -60
+    else:
+        assert x - 10.0 * math.sqrt(x) < i0 + 64
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
