@@ -24,7 +24,7 @@ from .reporting import _case_report, _requirement_assessment, build_resource_tab
     render_rows, render_table
 from .simulate import estimate, estimate_profit
 from .timing import _conditional_moments, attack_success_prob, sampling_grid
-from .walk import INFINITE, AttackSpec, _deadline
+from .walk import INFINITE, AttackSpec, _cut_seconds, _deadline
 
 _DEFAULT_BLOCK_TIME = 600.0
 _DEFAULT_TOL = 1e-12
@@ -42,22 +42,15 @@ def _cut_float(text: str) -> float:
         ) from None
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}"
-        ) from None
+def _list_of(cast: Callable[[str], object], what: str) -> Callable[[str], list]:
+    """An argparse type reading comma-separated values through cast."""
+    def parse(text: str) -> list:
+        try:
+            return [cast(part) for part in text.split(",") if part.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}") from None
+    return parse
 
 
 def _add_point_flags(parser: argparse.ArgumentParser, *, economics: bool = False,
@@ -138,7 +131,7 @@ def _spec_params(spec: AttackSpec, tol: float | None = None) -> dict[str, object
     params: dict[str, object] = {
         "p_a": spec.p_a,
         "n_bc": spec.n_bc,
-        "t_cut_seconds": math.inf if spec.infinite_cut else spec.t_cut,
+        "t_cut_seconds": _cut_seconds(spec),
         "lambda_h": spec.lambda_h,
     }
     if tol is not None:
@@ -341,9 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("table", _cmd_table, "scaled resource table over a "
                                      "(nbc, pa) grid")
-    p.add_argument("--nbc", type=_int_list, required=True,
+    p.add_argument("--nbc", type=_list_of(int, "integers"), required=True,
                    help="comma-separated confirmation depths")
-    p.add_argument("--pa", type=_float_list, required=True,
+    p.add_argument("--pa", type=_list_of(float, "numbers"), required=True,
                    help="comma-separated attacker shares")
     p.add_argument("--cut-mult", "--c", type=float, required=True,
                    dest="cut_mult", metavar="C",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, UnsupportedAnalyticError
+from .errors import DomainError, UnsupportedAnalyticError, _is_real
 from .timing import _success_moments
 from .walk import AttackSpec
 
@@ -49,8 +49,8 @@ class EconomicModel:
     def __post_init__(self):
         for label, number in (("gamma", self.gamma), ("beta", self.beta),
                               ("transaction value", self.value)):
-            if not math.isfinite(number):
-                raise DomainError(f"{label} must be finite, got {number}")
+            if not (_is_real(number) and math.isfinite(number)):
+                raise DomainError(f"{label} must be finite, got {number!r}")
         if not self.gamma > 0.0:
             raise DomainError(f"gamma must be positive, got {self.gamma}")
         if not self.beta > 0.0:
@@ -61,11 +61,14 @@ class EconomicModel:
                              ("reward_growth", self.reward_growth)):
             if pairs is None:
                 continue
-            for base, arg in pairs:
-                if not (base > 1.0 and arg > 1.0):
-                    raise DomainError(
-                        f"{label} constants must all exceed 1, got ({base}, {arg})"
-                    )
+            try:
+                (b1, a1), (b2, a2) = pairs
+            except (TypeError, ValueError):
+                raise DomainError(
+                    f"{label} must be two (base, argument) pairs, got {pairs!r}"
+                ) from None
+            if not all(_is_real(x) and x > 1.0 for x in (b1, a1, b2, a2)):
+                raise DomainError(f"{label} constants must all exceed 1, got {pairs!r}")
 
     @property
     def mu(self) -> float:

@@ -43,3 +43,8 @@ class CostGuardError(DoubleSpendError):
 
 class ConfigError(DoubleSpendError, ValueError):
     """A configuration file is malformed, incomplete, or has unknown keys."""
+
+
+def _is_real(x: object) -> bool:
+    """An int or a float, never a bool: the type test of real-number inputs."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)

@@ -27,29 +27,22 @@ from typing import Iterable, Mapping, Sequence
 
 from .economics import EconomicModel, _give_up_per_success, _opex, _required, \
     _runtime
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _is_real
 from .timing import _conditional_moments
-from .walk import INFINITE, AttackSpec, _deadline, p_dsa, premine_success_prob
-
-_CONFIG_KEYS = {
-    "name": str,
-    "beta_per_block": float,
-    "block_time_seconds": float,
-    "rental_price_per_hash": float,
-    "network_hashrate": float,
-    "gamma_override": float,
-}
-_REQUIRED_KEYS = ("name", "beta_per_block", "block_time_seconds")
+from .walk import INFINITE, AttackSpec, _cut_seconds, _deadline, p_dsa, \
+    premine_success_prob
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
     """Economic parameters of one proof-of-work network.
 
-    Either both market fields (rental_price_per_hash, network_hashrate) or
-    gamma_override must be present so that the per-block operating cost is
-    derivable. Market fields accept zero (a degenerate free-hashrate market,
-    flagged with a warning when used); everything else must be positive.
+    The fields are the keys of a network config file; those without a
+    default are required. Either both market fields (rental_price_per_hash,
+    network_hashrate) or gamma_override must be present so that the
+    per-block operating cost is derivable. Market fields accept zero (a
+    degenerate free-hashrate market, flagged with a warning when used);
+    everything else must be positive.
     """
 
     name: str
@@ -62,14 +55,13 @@ class NetworkConfig:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("network name must be non-empty")
-        for label, caster in _CONFIG_KEYS.items():
-            v = getattr(self, label)
-            if caster is str or (v is None and label not in _REQUIRED_KEYS):
+        for field in dataclasses.fields(self):
+            label, v = field.name, getattr(self, field.name)
+            if field.type == "str" or (v is None and field.default is None):
                 continue
             market = label in ("rental_price_per_hash", "network_hashrate")
-            # bool is an int, and nan fails every comparison
-            valid = isinstance(v, (int, float)) and not isinstance(v, bool) \
-                and (0 <= v if market else 0 < v) and v < math.inf
+            # nan fails every comparison
+            valid = _is_real(v) and (0 <= v if market else 0 < v) and v < math.inf
             if not valid:
                 kind = "nonnegative" if market else "positive"
                 raise ConfigError(f"{label} must be a {kind} finite number, got {v!r}")
@@ -98,6 +90,7 @@ def load_network_config(path: str | Path) -> NetworkConfig:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    fields = {field.name: field for field in dataclasses.fields(NetworkConfig)}
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -108,12 +101,11 @@ def load_network_config(path: str | Path) -> NetworkConfig:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in fields:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        caster = _CONFIG_KEYS[key]
-        if caster is str:
+        if fields[key].type == "str":
             values[key] = value
         else:
             try:
@@ -122,8 +114,8 @@ def load_network_config(path: str | Path) -> NetworkConfig:
                 raise ConfigError(
                     f"{path}:{lineno}: {key} must be a number, got {value!r}"
                 ) from exc
-    for key in _REQUIRED_KEYS:
-        if key not in values:
+    for key, field in fields.items():
+        if field.default is dataclasses.MISSING and key not in values:
             raise ConfigError(f"{path}: missing required key {key!r}")
     return NetworkConfig(**values)  # type: ignore[arg-type]
 
@@ -256,7 +248,7 @@ def _case_report(cfg: NetworkConfig, spec: AttackSpec, c: float,
         "p_a": spec.p_a,
         "n_bc": spec.n_bc,
         "c": c,
-        "t_cut_seconds": math.inf if spec.infinite_cut else spec.t_cut,
+        "t_cut_seconds": _cut_seconds(spec),
         "lambda_h": spec.lambda_h,
         "gamma": model.gamma,
         "beta": model.beta,
@@ -315,20 +307,16 @@ def _nonfinite_word(x: float) -> str:
 
 def format_sig(x: object, digits: int = 4) -> str:
     """Human-facing number: 4 significant digits, words for non-finite."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return str(x)
-    if isinstance(x, int):
+    if not isinstance(x, float):
         return str(x)
     return f"{x:.{digits}g}" if math.isfinite(x) else _nonfinite_word(x)
 
 
 def format_full(x: object) -> str:
     """Machine-facing number: shortest round-tripping decimal."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
+    if not isinstance(x, float):
         return str(x)
-    if isinstance(x, float):
-        return repr(x) if math.isfinite(x) else _nonfinite_word(x)
-    return str(x)
+    return repr(x) if math.isfinite(x) else _nonfinite_word(x)
 
 
 def to_jsonable(obj: object) -> object:

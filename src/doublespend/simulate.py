@@ -47,7 +47,7 @@ import numpy as np
 
 from .economics import EconomicModel, opex, reward
 from .errors import CostGuardError, DomainError
-from .walk import AttackSpec
+from .walk import AttackSpec, _cut_seconds
 
 _EVENT_CAP_DEFAULT = 10_000_000
 _CHUNK = 48
@@ -124,10 +124,6 @@ def _check_cap(spec: AttackSpec, event_cap: int | None) -> int:
     if event_cap < 1:
         raise DomainError(f"event cap must be positive, got {event_cap}")
     return event_cap
-
-
-def _cut_value(spec: AttackSpec) -> float:
-    return math.inf if spec.infinite_cut else spec.t_cut
 
 
 def simulate_one(spec: AttackSpec, stream_seed: int | tuple[int, int],
@@ -269,7 +265,7 @@ def _settle(spec: AttackSpec, words: np.ndarray, events: int, event_cap: int,
     arrivals = np.arange(events + 1, events + drawn + 1)
     # h = arrivals - a honest blocks: achieved when h >= n_bc and a > h
     achieved = (a_cum[:, 1:] <= arrivals - spec.n_bc) & (a_cum[:, 1:] > arrivals // 2)
-    cut = times >= _cut_value(spec)
+    cut = times >= _cut_seconds(spec)
     stop = achieved | cut
     at = stop.argmax(axis=1)
     row = np.arange(rows)
@@ -313,7 +309,7 @@ def _simulate_two_clocks(spec: AttackSpec, rng: np.random.Generator,
     # attribution draw; statistically identical to the merged process.
     # Returns the row (success, t_dsa, blocks_a, blocks_h, truncated).
     n_bc = spec.n_bc
-    t_cut = _cut_value(spec)
+    t_cut = _cut_seconds(spec)
     scale_a = 1.0 / spec.lambda_a
     scale_h = 1.0 / spec.lambda_h
     next_a = rng.standard_exponential() * scale_a

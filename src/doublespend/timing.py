@@ -24,6 +24,7 @@ series.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -34,7 +35,7 @@ from .errors import (
     UndefinedExpectationError,
 )
 from .specfun import _central, poisson_term, regularized_gamma_p, scaled_pow
-from .walk import AttackSpec, _race, p_dsa
+from .walk import INFINITE, AttackSpec, _race, p_dsa
 
 _MIXTURE_CAP = 2_000_000
 _TINY = 1e-300
@@ -476,27 +477,23 @@ def _success_moments(spec: AttackSpec, tol: float) -> tuple[float, float]:
     bit the values of attack_success_prob and expected_success_time; every
     derived quantity of the paper is arithmetic on this pair. The pass is
     certified against the totals of one confirmation-race pass. Infinite
-    cut: p_dsa and expected_success_time_inf. e_tas reads 0 where p_as is 0.
+    cut: p_dsa and the race's mean arrival count over lambda_t, refused at
+    p_a = 1/2. e_tas reads 0 where p_as is 0.
     """
     _check_tol(tol)
     if spec.infinite_cut:
-        return _unbounded_moments(spec)
+        if spec.p_a == 0.5:
+            raise SingularityError(
+                "the conditional mean success time diverges at p_a = 1/2; "
+                "use a finite cut-time or the Monte Carlo estimator"
+            )
+        total, arrivals = _race(spec)
+        return total, arrivals / spec.lambda_t
     states = _state_mass_iter(spec)
     total, arrivals = _race(spec)
     p_as, e_tas = _mixture_moments(spec, spec.t_cut, tol, False, states,
                                    total, total * arrivals)
     return min(p_as, 1.0), e_tas
-
-
-def _unbounded_moments(spec: AttackSpec) -> tuple[float, float]:
-    """(p_dsa, e_tas) with no deadline from one confirmation-race pass."""
-    total, arrivals = _race(spec)
-    if spec.p_a == 0.5:
-        raise SingularityError(
-            "the conditional mean success time diverges at p_a = 1/2; "
-            "use a finite cut-time or the Monte Carlo estimator"
-        )
-    return total, arrivals / spec.lambda_t
 
 
 def _conditional_moments(spec: AttackSpec, tol: float) -> tuple[float, float]:
@@ -546,7 +543,7 @@ def expected_success_time_inf(spec: AttackSpec) -> float:
     but only after a time of infinite mean, so evaluation is refused and
     callers are pointed to a finite cut or the simulation oracle.
     """
-    return _unbounded_moments(spec)[1]
+    return expected_success_time(dataclasses.replace(spec, t_cut=INFINITE))
 
 
 def sampling_grid(spec: AttackSpec, times: list[float],
@@ -568,7 +565,6 @@ def sampling_grid(spec: AttackSpec, times: list[float],
     passes = itertools.tee(states, len(times))
     rows = []
     for t, states in zip(times, passes):
-        cdf, dens = (0.0, 0.0) if t == 0.0 else _mixture_moments(
-            spec, t, tol, True, states, total_mass)
+        cdf, dens = _mixture_moments(spec, t, tol, True, states, total_mass)
         rows.append((t, dens, min(cdf, 1.0)))
     return rows

@@ -24,7 +24,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, _is_real
 from .specfun import _central, scaled_pow
 
 
@@ -62,20 +62,20 @@ class AttackSpec:
     lambda_h: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.p_a < 1.0:
-            raise DomainError(f"p_a must lie strictly in (0, 1), got {self.p_a}")
+        if not (_is_real(self.p_a) and 0.0 < self.p_a < 1.0):
+            raise DomainError(f"p_a must lie strictly in (0, 1), got {self.p_a!r}")
         if not isinstance(self.n_bc, int) or isinstance(self.n_bc, bool) or self.n_bc < 1:
             raise DomainError(f"n_bc must be an integer >= 1, got {self.n_bc!r}")
         if self.t_cut is not INFINITE:
-            if not isinstance(self.t_cut, (int, float)) or not self.t_cut > 0.0:
+            if not (_is_real(self.t_cut) and self.t_cut > 0.0):
                 raise DomainError(
                     f"t_cut must be a positive number of seconds or INFINITE, got {self.t_cut!r}"
                 )
             if math.isinf(self.t_cut):
                 raise DomainError("use INFINITE for an unbounded attack, not float('inf')")
-        if not 0.0 < self.lambda_h < math.inf:
+        if not (_is_real(self.lambda_h) and 0.0 < self.lambda_h < math.inf):
             raise DomainError(
-                f"lambda_h must be positive and finite, got {self.lambda_h}")
+                f"lambda_h must be positive and finite, got {self.lambda_h!r}")
 
     @property
     def p_h(self) -> float:
@@ -93,6 +93,11 @@ class AttackSpec:
     @property
     def infinite_cut(self) -> bool:
         return self.t_cut is INFINITE
+
+
+def _cut_seconds(spec: AttackSpec) -> float:
+    """t_cut in seconds as a float: math.inf with no deadline."""
+    return math.inf if spec.infinite_cut else spec.t_cut
 
 
 def _deadline(c: float, n_bc: int, block_time: float) -> float | _CutTime:

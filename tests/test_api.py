@@ -1,5 +1,8 @@
 """The package root exports what users call, and nothing else."""
 
+import importlib
+from pathlib import Path
+
 import doublespend
 from doublespend import specfun
 
@@ -55,3 +58,16 @@ def test_removed_names_are_gone():
     for module in (doublespend, specfun, simulate, timing, walk):
         for name in removed:
             assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_traced_functions_exist():
+    # perfbench/tracer.py wraps package functions by name, so a rename fails
+    # here and not only in a traced benchmark run; the file is read, not
+    # imported, and imports only the standard library
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tracer: dict = {"__name__": "tracer"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracer)
+    for home, names in (*tracer["LAYERS"].values(), *tracer["COUNTED"].values()):
+        module = importlib.import_module(f"doublespend.{home}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"doublespend.{home}.{name}"

@@ -70,6 +70,24 @@ class TestEconomicModel:
         assert not bent.linear_cost
 
 
+@pytest.mark.parametrize("make, kw", [
+    (AttackSpec, dict(p_a=0.3, n_bc=1, t_cut=10.0, lambda_h=True)),
+    (AttackSpec, dict(p_a=0.3, n_bc=1, t_cut=True)),
+    (AttackSpec, dict(p_a="0.3", n_bc=1, t_cut=10.0)),
+    (AttackSpec, dict(p_a=0.3, n_bc=1, t_cut=10.0, lambda_h="1")),
+    (EconomicModel, dict(gamma=True, beta=1.0)),
+    (EconomicModel, dict(gamma="x", beta=1.0)),
+    (EconomicModel, dict(gamma=1.0, beta=1.0, value=None)),
+    (EconomicModel, dict(gamma=1.0, beta=1.0, cost_growth=((2.0, 3.0),))),
+    (EconomicModel, dict(gamma=1.0, beta=1.0, reward_growth=2.0)),
+    (EconomicModel, dict(gamma=1.0, beta=1.0, cost_growth=(("2", 3.0), (2.0, 2.0)))),
+], ids=lambda v: v.__name__ if isinstance(v, type) else repr(v))
+def test_real_inputs_must_be_numbers(make, kw):
+    # an int or a float, never a bool or a string, as NetworkConfig asks
+    with pytest.raises(DomainError):
+        make(**kw)
+
+
 def test_pointwise_opex_and_reward_linear():
     lam_a = BCH_SPEC.lambda_a
     assert opex(BCH_MODEL, lam_a, 600.0) == pytest.approx(0.422 * lam_a * 600.0)

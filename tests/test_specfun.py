@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from doublespend.errors import DomainError
+from doublespend import specfun
+from doublespend.errors import ConvergenceError, DomainError
 from doublespend.specfun import (
     HypergeomParams,
     bd0,
@@ -44,6 +45,17 @@ def test_gamma_p_edges():
         regularized_gamma_p(0.0, 1.0)
     with pytest.raises(DomainError):
         regularized_gamma_p(2.0, -0.1)
+
+
+@pytest.mark.parametrize("a,x,route", [(5.0, 3.0, "series"),
+                                        (3.0, 8.0, "continued fraction")])
+def test_gamma_p_iteration_cap_raises_with_partial(a, x, route, monkeypatch):
+    # x < a + 1 takes the power series, x >= a + 1 the continued fraction
+    monkeypatch.setattr(specfun, "_IGAM_MAX_ITER", 2)
+    with pytest.raises(ConvergenceError, match=f"incomplete gamma {route} did not"
+                                               " converge") as info:
+        regularized_gamma_p(a, x)
+    assert math.isfinite(info.value.partial) and info.value.partial > 0.0
 
 
 @given(a=st.floats(0.5, 50), x=st.floats(1e-6, 200))

@@ -15,7 +15,7 @@ from scipy import integrate
 
 from doublespend import timing
 from doublespend.cli import run
-from doublespend.errors import DomainError, DoubleSpendError, \
+from doublespend.errors import ConvergenceError, DomainError, DoubleSpendError, \
     SingularityError, UndefinedExpectationError
 from doublespend.specfun import (
     HypergeomParams,
@@ -679,6 +679,17 @@ def test_sampling_grid_rows():
         )
     # cdf column is nondecreasing
     assert rows[0][2] <= rows[1][2] <= rows[2][2]
+
+
+def test_mixture_out_of_states_raises():
+    # a state iterator that ends before any checkpoint certifies: x is about
+    # 31, so the first checkpoint would come after 64 states
+    spec = AttackSpec(p_a=0.35, n_bc=5, t_cut=20.0)
+    masses = list(itertools.islice(timing._state_mass_iter(spec), 10))
+    with pytest.raises(ConvergenceError, match="terminated unexpectedly") as info:
+        timing._mixture_moments(spec, spec.t_cut, 1e-12, False, iter(masses),
+                                p_dsa(spec))
+    assert 0.0 < info.value.partial <= sum(masses)
 
 
 def _call_counter(monkeypatch, name):
