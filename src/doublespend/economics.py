@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, UnsupportedAnalyticError, _is_real
+from .errors import DomainError, UnsupportedAnalyticError, _is_int, _is_real
 from .timing import _success_moments
 from .walk import AttackSpec
 
@@ -77,17 +77,16 @@ class EconomicModel:
 
     @property
     def linear_cost(self) -> bool:
-        if self.cost_growth is None:
-            return True
-        (x1, x2), (x3, x4) = self.cost_growth
-        return x1 == x2 and x3 == x4
+        return _is_linear(self.cost_growth)
 
     @property
     def linear_reward(self) -> bool:
-        if self.reward_growth is None:
-            return True
-        (r1, r2), (r3, r4) = self.reward_growth
-        return r1 == r2 and r3 == r4
+        return _is_linear(self.reward_growth)
+
+
+def _is_linear(pairs: GrowthPairs | None) -> bool:
+    """No growth: pairs omitted, or x1 == x2 and x3 == x4."""
+    return pairs is None or all(base == arg for base, arg in pairs)
 
 
 def _growth_factor(pairs: GrowthPairs | None, lambda_a: float, t: float) -> float:
@@ -234,7 +233,7 @@ def repeated_attack_projection(model: EconomicModel, spec: AttackSpec, n: int,
     expected_runtime_per_attempt: p_as * e_tas + (1 - p_as) * t_cut
     expected_net_profit:          n * p_as * (value - required_value)
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not (_is_int(n) and _is_real(n)) or n < 0:  # n * p_as must be a float
         raise DomainError(f"attack count must be a nonnegative integer, got {n!r}")
     _require_linear(model, need_reward=True)
     p_as, e_tas = _success_moments(spec, tol)

@@ -1,8 +1,9 @@
-"""Exception taxonomy shared by every module.
+"""Exception taxonomy and input type tests shared by every module.
 
 All errors raised on purpose derive from DoubleSpendError so callers (and the
 CLI) can map them to exit codes without enumerating modules.
 """
+import sys
 
 
 class DoubleSpendError(Exception):
@@ -45,6 +46,12 @@ class ConfigError(DoubleSpendError, ValueError):
     """A configuration file is malformed, incomplete, or has unknown keys."""
 
 
+def _is_int(x: object) -> bool:
+    """An int, never a bool: the type test of count inputs."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _is_real(x: object) -> bool:
-    """An int or a float, never a bool: the type test of real-number inputs."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A float, or an int within the float range (so it converts), never a
+    bool: the type test of real-number inputs."""
+    return isinstance(x, float) or _is_int(x) and abs(x) <= sys.float_info.max

@@ -198,7 +198,7 @@ def build_resource_table(n_bc_list: Sequence[int], p_a_list: Sequence[float],
     """
     if not n_bc_list or not p_a_list:
         raise DomainError("n_bc_list and p_a_list must be non-empty")
-    if not (isinstance(c, (int, float)) and 0 < c < math.inf):
+    if not (_is_real(c) and 0 < c < math.inf):
         raise DomainError(f"cut-time multiplier must be positive and finite, got {c!r}")
     cells = []
     for n_bc in n_bc_list:
@@ -229,7 +229,7 @@ def case_study(cfg: NetworkConfig, p_a: float, n_bc: int, c: float,
     """
     if c is INFINITE:
         c = math.inf
-    if not (isinstance(c, (int, float)) and c > 0):
+    if not (_is_real(c) and c > 0):
         raise DomainError(f"cut-time multiplier must be positive, got {c!r}")
     c = float(c)
     t_cut = _deadline(c, n_bc, cfg.block_time_seconds)

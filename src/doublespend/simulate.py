@@ -3,8 +3,11 @@
 The simulation draws the merged block-arrival process directly (exponential
 inter-arrival gaps at the total rate, each arrival attributed to the
 attacker with probability p_a) and replays the walk until the attack
-achieves or the cut-time passes. It shares no code with the analytic modules
-beyond the AttackSpec type, which is what makes it an oracle.
+achieves or the cut-time passes. From the analytic modules it takes only
+the AttackSpec type and walk._cut_seconds, the pointwise economics.opex and
+reward, and economics._fails_forever (an unbounded cut below one half may
+never end); no probability, series or race code, which is what makes it an
+oracle.
 
 Streams are counter-based (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC'11). A run seeded master_seed reads numpy's
@@ -45,8 +48,8 @@ from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .economics import EconomicModel, opex, reward
-from .errors import CostGuardError, DomainError
+from .economics import EconomicModel, _fails_forever, opex, reward
+from .errors import CostGuardError, DomainError, _is_int
 from .walk import AttackSpec, _cut_seconds
 
 _EVENT_CAP_DEFAULT = 10_000_000
@@ -99,31 +102,28 @@ class SimulationSummary:
 
 
 def _check_seed(seed: int) -> int:
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2 ** 64:
+    if not _is_int(seed) or not 0 <= seed < 2 ** 64:
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     return seed
 
 
-def _check_trials(trials: int) -> None:
-    if not isinstance(trials, int) or isinstance(trials, bool):
-        raise DomainError(f"trial count must be an integer, got {trials!r}")
-    if trials < 1:
-        raise DomainError(f"trial count must be positive, got {trials}")
+def _check_count(count: int, label: str) -> int:
+    if not _is_int(count):
+        raise DomainError(f"{label} must be an integer, got {count!r}")
+    if count < 1:
+        raise DomainError(f"{label} must be positive, got {count}")
+    return count
 
 
 def _check_cap(spec: AttackSpec, event_cap: int | None) -> int:
     if event_cap is None:
-        if spec.infinite_cut and spec.p_a < 0.5:
+        if _fails_forever(spec):
             raise DomainError(
                 "unbounded cut-time with attacker share below one half needs "
                 "an explicit event_cap: failing trials never terminate"
             )
         return _EVENT_CAP_DEFAULT
-    if not isinstance(event_cap, int) or isinstance(event_cap, bool):
-        raise DomainError(f"event cap must be an integer, got {event_cap!r}")
-    if event_cap < 1:
-        raise DomainError(f"event cap must be positive, got {event_cap}")
-    return event_cap
+    return _check_count(event_cap, "event cap")
 
 
 def simulate_one(spec: AttackSpec, stream_seed: int | tuple[int, int],
@@ -295,40 +295,36 @@ def _settle(spec: AttackSpec, words: np.ndarray, events: int, event_cap: int,
 
 def _clocks(spec: AttackSpec, master_seed: int, first: int, count: int,
             event_cap: int) -> Iterator[tuple]:
-    # _walk's rows from two racing clocks: trial k draws from a Generator on
-    # Philox keyed (master_seed, k), the dtype keeping seeds above 2**53 exact
-    for k in range(first, first + count):
-        key = np.array((master_seed, k), dtype=np.uint64)
-        yield _simulate_two_clocks(spec, np.random.Generator(np.random.Philox(key=key)),
-                                   event_cap)
-
-
-def _simulate_two_clocks(spec: AttackSpec, rng: np.random.Generator,
-                         event_cap: int) -> tuple:
-    # self-check variant: two independent exponential clocks racing, no
-    # attribution draw; statistically identical to the merged process.
-    # Returns the row (success, t_dsa, blocks_a, blocks_h, truncated).
+    # _walk's rows from the self-check variant: two independent exponential
+    # clocks racing, no attribution draw; statistically identical to the
+    # merged process. Trial k draws from a Generator on Philox keyed
+    # (master_seed, k), the dtype keeping seeds above 2**53 exact.
     n_bc = spec.n_bc
     t_cut = _cut_seconds(spec)
     scale_a = 1.0 / spec.lambda_a
     scale_h = 1.0 / spec.lambda_h
-    next_a = rng.standard_exponential() * scale_a
-    next_h = rng.standard_exponential() * scale_h
-    blocks_a = 0
-    blocks_h = 0
-    for _ in range(event_cap):
-        now = min(next_a, next_h)
-        if now >= t_cut:
-            return False, math.nan, blocks_a, blocks_h, False
-        if next_a < next_h:
-            blocks_a += 1
-            next_a = now + rng.standard_exponential() * scale_a
+    for k in range(first, first + count):
+        key = np.array((master_seed, k), dtype=np.uint64)
+        draw = np.random.Generator(np.random.Philox(key=key)).standard_exponential
+        next_a = draw() * scale_a
+        next_h = draw() * scale_h
+        blocks_a = blocks_h = 0
+        for _ in range(event_cap):
+            now = min(next_a, next_h)
+            if now >= t_cut:
+                yield False, math.nan, blocks_a, blocks_h, False
+                break
+            if next_a < next_h:
+                blocks_a += 1
+                next_a = now + draw() * scale_a
+            else:
+                blocks_h += 1
+                next_h = now + draw() * scale_h
+            if blocks_h >= n_bc and blocks_a > blocks_h:
+                yield True, now, blocks_a, blocks_h, False
+                break
         else:
-            blocks_h += 1
-            next_h = now + rng.standard_exponential() * scale_h
-        if blocks_h >= n_bc and blocks_a > blocks_h:
-            return True, now, blocks_a, blocks_h, False
-    return False, math.nan, blocks_a, blocks_h, True
+            yield False, math.nan, blocks_a, blocks_h, True
 
 
 def _aggregate(outcomes: Iterable[tuple[bool, float, int, int, bool]],
@@ -394,7 +390,7 @@ def _run(spec: AttackSpec, trials: int, master_seed: int, event_cap: int | None,
          source: Callable[..., Iterator[tuple]], trace_to: IO[str] | None,
          profit_of: Callable[[float | None], float] | None = None) -> SimulationSummary:
     # check the inputs, then fold the source's trials 0 .. trials - 1 in order
-    _check_trials(trials)
+    _check_count(trials, "trial count")
     _check_seed(master_seed)
     event_cap = _check_cap(spec, event_cap)
     return _aggregate(source(spec, master_seed, 0, trials, event_cap), trials, master_seed,
@@ -452,7 +448,7 @@ def enumerate_exact(spec: AttackSpec, i_max: int) -> list[float]:
     Refuses i_max beyond 24: the implied path space doubles per state and
     this is a verification oracle, not a production path.
     """
-    if not isinstance(i_max, int) or isinstance(i_max, bool) or i_max < 1:
+    if not _is_int(i_max) or i_max < 1:
         raise DomainError(f"i_max must be a positive integer, got {i_max!r}")
     if i_max > _ENUM_MAX_STATES:
         raise CostGuardError(

@@ -28,12 +28,8 @@ import dataclasses
 import itertools
 import math
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    SingularityError,
-    UndefinedExpectationError,
-)
+from .errors import (ConvergenceError, DomainError, SingularityError,
+                     UndefinedExpectationError, _is_int, _is_real)
 from .specfun import _central, poisson_term, regularized_gamma_p, scaled_pow
 from .walk import INFINITE, AttackSpec, _race, p_dsa
 
@@ -154,7 +150,7 @@ def p_dsa_at_state(spec: AttackSpec, i: int) -> float:
     for one exact binomial and at most n_bc seed terms, nothing kept
     between calls.
     """
-    if not isinstance(i, int) or isinstance(i, bool) or i < 1:
+    if not _is_int(i) or i < 1:
         raise DomainError(f"state index must be an integer >= 1, got {i!r}")
     n_bc = spec.n_bc
     if i <= 2 * n_bc:
@@ -291,8 +287,8 @@ def _state_masses(spec: AttackSpec):
 
 
 def _check_tol(tol: float) -> None:
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+    if not (_is_real(tol) and 0.0 < tol < math.inf):
+        raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
 
 
 def _mixture_moments(spec: AttackSpec, t_cut: float, tol: float, density: bool,
@@ -558,8 +554,8 @@ def sampling_grid(spec: AttackSpec, times: list[float],
     """
     _check_tol(tol)
     for t in times:
-        if not 0.0 <= t < math.inf:
-            raise DomainError(f"times must be finite and nonnegative, got {t}")
+        if not (_is_real(t) and 0.0 <= t < math.inf):
+            raise DomainError(f"times must be finite and nonnegative, got {t!r}")
     states = _state_mass_iter(spec)
     total_mass = p_dsa(spec)
     passes = itertools.tee(states, len(times))

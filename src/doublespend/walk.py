@@ -24,7 +24,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, _is_real
+from .errors import DomainError, _is_int, _is_real
 from .specfun import _central, scaled_pow
 
 
@@ -64,7 +64,7 @@ class AttackSpec:
     def __post_init__(self):
         if not (_is_real(self.p_a) and 0.0 < self.p_a < 1.0):
             raise DomainError(f"p_a must lie strictly in (0, 1), got {self.p_a!r}")
-        if not isinstance(self.n_bc, int) or isinstance(self.n_bc, bool) or self.n_bc < 1:
+        if not _is_int(self.n_bc) or self.n_bc < 1:
             raise DomainError(f"n_bc must be an integer >= 1, got {self.n_bc!r}")
         if self.t_cut is not INFINITE:
             if not (_is_real(self.t_cut) and self.t_cut > 0.0):
@@ -114,7 +114,7 @@ def ballot_number(n: int, m: int) -> int:
     other argument type, bool included, raises DomainError.
     """
     for arg in (n, m):
-        if not isinstance(arg, int) or isinstance(arg, bool):
+        if not _is_int(arg):
             raise DomainError(f"ballot_number takes integers, got {arg!r}")
     if n < 0 or m < 0:
         return 0

@@ -20,7 +20,7 @@ from doublespend.errors import DomainError, SingularityError, \
     UnsupportedAnalyticError
 from doublespend.reporting import NetworkConfig, build_resource_table, case_study
 from doublespend.simulate import estimate_profit
-from doublespend.timing import attack_success_prob, expected_success_time
+from doublespend.timing import attack_success_prob, expected_success_time, sampling_grid
 from doublespend.walk import INFINITE, AttackSpec
 
 BCH_SPEC = AttackSpec(p_a=0.35, n_bc=5, t_cut=12000.0, lambda_h=1 / 600)
@@ -86,6 +86,31 @@ def test_real_inputs_must_be_numbers(make, kw):
     # an int or a float, never a bool or a string, as NetworkConfig asks
     with pytest.raises(DomainError):
         make(**kw)
+
+
+BIG = 10 ** 400  # an int beyond the float range; it compares exactly with inf
+
+
+@pytest.mark.parametrize("call", [
+    lambda: EconomicModel(gamma=BIG, beta=1.0),
+    lambda: attack_success_prob(AttackSpec(p_a=0.3, n_bc=2, t_cut=10.0, lambda_h=BIG)),
+    lambda: build_resource_table([1], [0.35], BIG),
+    lambda: case_study(BCH_CONFIG, 0.35, 5, BIG),
+    lambda: repeated_attack_projection(BCH_MODEL, BCH_SPEC, n=BIG),
+    lambda: attack_success_prob(BCH_SPEC, tol="x"),
+    lambda: attack_success_prob(AttackSpec(p_a=0.3, n_bc=2, t_cut=INFINITE), tol="x"),
+    lambda: sampling_grid(BCH_SPEC, ["1"]),
+    lambda: build_resource_table([1], [0.35], True),
+    lambda: case_study(BCH_CONFIG, 0.35, 5, True),
+    lambda: attack_success_prob(BCH_SPEC, tol=True),
+    lambda: sampling_grid(BCH_SPEC, [True]),
+], ids=["gamma int overflow", "lambda_h int overflow", "table c int overflow",
+        "case c int overflow", "attack count overflow", "tol str", "tol str unbounded",
+        "time str", "table c bool", "case c bool", "tol bool", "time bool"])
+def test_malformed_numbers_get_domain_error(call):
+    # each raised a raw OverflowError or TypeError, or was read as 1.0
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_pointwise_opex_and_reward_linear():

@@ -16,6 +16,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,7 @@ from golden_record import largest_move, numbers
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
 GOLDEN_FILE = GOLDEN_DIR / "cli_outputs.json"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 # p_a below and above 1/2, each with a finite and an unbounded cut
 POINTS = (
@@ -124,6 +127,19 @@ def golden() -> dict[str, dict[str, object]]:
 @pytest.mark.parametrize("argv", CASES, ids=_key)
 def test_cli_output_matches_golden(argv, golden):
     assert _run(argv) == golden[_key(argv)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("prob", *POINTS[0], "--format", "text"),
+    ("prob", "--pa", "1.5", "--nbc", "5", "--cut-mult", "4"),  # exits 2
+], ids=_key)
+def test_console_entry_matches_golden(argv, golden):
+    # cli.main in a fresh interpreter: sys.exit(run()) sets the exit status
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    done = subprocess.run([sys.executable, "-m", "doublespend.cli", *argv], cwd=GOLDEN_DIR,
+                          env=env, capture_output=True, encoding="utf-8")
+    assert {"exit": done.returncode, "stdout": done.stdout,
+            "stderr": done.stderr} == golden[_key(argv)]
 
 
 def test_golden_file_covers_every_subcommand(golden):

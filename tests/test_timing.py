@@ -779,6 +779,15 @@ def test_head_end_is_certified(i0, x):
         assert x - 10.0 * math.sqrt(x) < i0 + 64
 
 
+def test_head_end_without_certificate_is_i0(monkeypatch):
+    # whole blocks fit below x - 10 sqrt(x), but if u_(k-1) bounds Q(k, x)
+    # above 2^-60 the pass keeps no head
+    i0, x = 11, 7692.3
+    assert timing._head_end(i0, x) > i0
+    monkeypatch.setattr(timing, "poisson_term", lambda k, x: 1.0)
+    assert timing._head_end(i0, x) == i0
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
 def test_tolerance_must_be_positive_and_finite(tol):
     for spec in (AttackSpec(t_cut=12000.0, **BCH),
